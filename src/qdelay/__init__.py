@@ -26,7 +26,6 @@ from .dde import (
     IntegrationConfig,
     NumericalFailureError,
     Trajectory,
-    dense_eval,
     integrate,
 )
 from .models import (
@@ -49,17 +48,14 @@ from .models import (
 from .stability import (
     ConvergenceError,
     HopfPoint,
-    PerturbationQuery,
     characteristic_residual_constant,
     characteristic_residual_ma,
     critical_delay_constant,
     critical_delay_ma,
+    crossing_rate,
     hopf_curve,
-    hopf_frequency_ma,
     ma_candidate_roots,
     ma_threshold_function,
-    r2_constant,
-    r2_ma,
     root_track,
 )
 

@@ -229,18 +229,10 @@ def analytic_threshold(model: str, lam: float, mu: float) -> float | None:
 
 def _crossing_direction(model: str, point: stability.HopfPoint) -> int:
     """+1 where the critical pair enters the right half-plane as the delay
-    grows past ``point``, -1 where it leaves it, from root_track at
-    delta_cr (1 -+ 1e-3)."""
-
-    def real_part(delta: float) -> float:
-        # root_track's tolerance is absolute: scale it with the residual's
-        # largest term so Newton can meet it in floating point at high lam
-        scale = point.lam + point.mu if model == models.CONSTANT \
-            else point.lam / delta + point.mu * point.mu
-        return stability.root_track(model, point.lam, point.mu, delta,
-                                    1j * point.omega, tol=1e-13 * max(10.0, scale)).real
-
-    return 1 if real_part(point.delta_cr * 1.001) > real_part(point.delta_cr * 0.999) else -1
+    grows past ``point``, -1 where it leaves it."""
+    rate = stability.crossing_rate(model, point.lam, point.mu, point.delta_cr,
+                                   1j * point.omega)
+    return 1 if rate.real > 0.0 else -1
 
 
 def _default_horizon(mu: float, delta: float) -> float:
@@ -257,8 +249,8 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
 
     A cell is predicted oscillatory when more destabilising than
     restabilising crossings lie at or below its delay (the moving-average
-    model restabilises at its second validated root), synchronized
-    otherwise; ``root_track`` just off each crossing gives its direction.
+    model restabilises at its second root), synchronized otherwise; the
+    sign of ``crossing_rate`` at each crossing gives its direction.
     Rows are produced in grid order (lambdas outer, deltas inner) and are
     independent of each other; integration failures are recorded per row
     rather than aborting the sweep.  ``agree`` is True when the observed

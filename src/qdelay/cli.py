@@ -171,7 +171,7 @@ def _cmd_critical_delay(args) -> int:
     bracket = tuple(args.bracket) if args.bracket is not None else None
     points = stability.critical_delay_ma(args.lam, args.mu, bracket=bracket)
     if not points:
-        print("no validated Hopf root found in the scanned delta range")
+        print("no validated Hopf root found in the delta range")
         return 0
     for p in points:
         print(f"model=moving-average lambda={_fmt(p.lam)} mu={_fmt(p.mu)} "
@@ -264,22 +264,28 @@ def _verify_checks():
                 worst = max(worst, abs(res))
                 count += 1
         return (count > 0 and worst < 1e-8), \
-            f"{count} validated roots, max |residual| = {worst:.2e}"
+            f"{count} roots, max |residual| = {worst:.2e}"
 
     def crossing_direction():
         eps = 1e-3
-        for lam, mu in ((10.0, 1.0), (20.0, 2.0)):
-            point = stability.critical_delay_constant(lam, mu)
+        points = [(models.CONSTANT, stability.critical_delay_constant(lam, mu))
+                  for lam, mu in ((10.0, 1.0), (20.0, 2.0))]
+        points += [(models.MOVING_AVERAGE, p) for p in stability.critical_delay_ma(10.0, 1.0)]
+        signs = []
+        for model, p in points:
+            rate = stability.crossing_rate(model, p.lam, p.mu, p.delta_cr,
+                                           1j * p.omega).real
             for delta1 in (eps, -eps):
-                root = stability.root_track(models.CONSTANT, lam, mu,
-                                            point.delta_cr + delta1,
-                                            1j * point.omega)
-                predicted = stability.r2_constant(
-                    stability.PerturbationQuery(point.delta_cr, delta1, point.omega),
-                    lam, mu)
-                if math.copysign(1.0, root.real) != math.copysign(1.0, predicted):
-                    return False, f"sign mismatch at lambda={lam}, delta1={delta1}"
-        return True, "root-tracking signs match the perturbation formula"
+                root = stability.root_track(model, p.lam, p.mu, p.delta_cr + delta1,
+                                            1j * p.omega)
+                if math.copysign(1.0, root.real) != math.copysign(1.0, rate * delta1):
+                    return False, (f"sign mismatch for {model} at lambda={p.lam}, "
+                                   f"delta_cr={p.delta_cr:.6g}, delta1={delta1}")
+            signs.append(1 if rate > 0.0 else -1)
+        # the moving-average pair at (10, 1) enters, then leaves, the right half-plane
+        ok = signs[-2:] == [1, -1]
+        return ok, ("root-tracking signs match crossing_rate; moving-average "
+                    f"(10, 1) crossings {signs[-2]:+d}, {signs[-1]:+d}")
 
     def regime_boundary():
         params = models.ModelParams(lam=10.0, mu=1.0, delta=0.34)

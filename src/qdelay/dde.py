@@ -1,9 +1,9 @@
 """Fixed-lag delay differential equation integration by the method of steps.
 
 The integrator advances a d-dimensional system x'(t) = f(t, x(t), x(t - lag))
-with the classical fourth-order Runge-Kutta scheme on a uniform grid.  By
-default the step is shrunk so that the lag is an exact integer multiple of
-it: lagged values needed at node times are then themselves nodes, and lagged
+with the classical fourth-order Runge-Kutta scheme on a uniform grid.  The
+step is shrunk so that the lag is an exact integer multiple of it: lagged
+values needed at node times are then themselves nodes, and lagged
 values at half-step stage times fall at midpoints of segments that are
 already complete, where cubic Hermite interpolation keeps the overall scheme
 fourth order.  The lagged point is therefore never ahead of the computed
@@ -24,7 +24,6 @@ __all__ = [
     "IntegrationConfig",
     "NumericalFailureError",
     "Trajectory",
-    "dense_eval",
     "integrate",
 ]
 
@@ -127,11 +126,10 @@ class DdeSystem:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Requested step, horizon, and the lag-alignment flag (default on)."""
+    """Requested step and horizon."""
 
     step: float
     horizon: float
-    align_lag: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -220,11 +218,6 @@ class Trajectory:
                 f"step={self.step:g}, horizon={self.horizon:g})")
 
 
-def dense_eval(traj: Trajectory, t):
-    """Evaluate a trajectory (or its history, for t < 0) at time(s) t."""
-    return traj.eval(t)
-
-
 def integrate(system: DdeSystem, history: HistoryFunction,
               config: IntegrationConfig) -> Trajectory:
     """Integrate a fixed-lag DDE with Runge-Kutta 4 and the method of steps.
@@ -237,9 +230,8 @@ def integrate(system: DdeSystem, history: HistoryFunction,
         Initial condition on [-lag, 0]; its delta must equal the system lag,
         and its value at 0 is the initial state.
     config : IntegrationConfig
-        Requested step and horizon.  With ``align_lag`` on (the default) the
-        effective step h' <= step is chosen so lag / h' is an exact integer;
-        with it off the step must not exceed the lag.
+        Requested step and horizon.  For a positive lag the effective step
+        h' <= step is chosen so lag / h' is an exact integer.
 
     Returns
     -------
@@ -262,15 +254,12 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     lag = system.lag
     rhs = system.rhs
     ode = lag == 0.0
-    aligned = (not ode) and config.align_lag
-    if aligned:
-        m = max(1, math.ceil(lag / config.step - 1e-9))
-        h = lag / m
-    else:
-        if not ode and config.step > lag:
-            raise ValueError("without lag alignment the step must not exceed the lag")
+    if ode:
         m = 0
         h = config.step
+    else:
+        m = max(1, math.ceil(lag / config.step - 1e-9))
+        h = lag / m
 
     n = int(math.floor(config.horizon / h + 1e-9))
     dim = system.dimension
@@ -279,7 +268,7 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     states[0] = np.asarray(history(0.0), dtype=float)
 
     def node_lag(j):
-        # lagged state at node time j*h - lag; a node itself when aligned
+        # lagged state at node time j*h - lag: a node itself
         i = j - m
         return states[i] if i >= 0 else history(i * h)
 
@@ -292,21 +281,11 @@ def integrate(system: DdeSystem, history: HistoryFunction,
             return y0 + 0.5 * (y1 - y0) + 0.125 * h * (derivs[i] - derivs[i + 1])
         return history((i + 0.5) * h)
 
-    def free_lag(t, done):
-        # unaligned lagged read; segments 0 .. done-1 are complete
-        if t <= 0.0:
-            return history(t)
-        j = min(int(t / h), done - 1)
-        theta = t / h - j
-        return _hermite(theta, h, states[j], states[j + 1], derivs[j], derivs[j + 1])
-
     x0 = states[0]
     if ode:
         derivs[0] = rhs(0.0, x0, x0)
-    elif aligned:
-        derivs[0] = rhs(0.0, x0, node_lag(0))
     else:
-        derivs[0] = rhs(0.0, x0, history(-lag))
+        derivs[0] = rhs(0.0, x0, node_lag(0))
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -322,15 +301,9 @@ def integrate(system: DdeSystem, history: HistoryFunction,
             k3 = rhs(t + half, s, s)
             s = x + h * k3
             k4 = rhs(t1, s, s)
-        elif aligned:
+        else:
             xm = mid_lag(k)
             xe = node_lag(k + 1)
-            k2 = rhs(t + half, x + half * k1, xm)
-            k3 = rhs(t + half, x + half * k2, xm)
-            k4 = rhs(t1, x + h * k3, xe)
-        else:
-            xm = free_lag(t + half - lag, k)
-            xe = free_lag(t1 - lag, k)
             k2 = rhs(t + half, x + half * k1, xm)
             k3 = rhs(t + half, x + half * k2, xm)
             k4 = rhs(t1, x + h * k3, xe)
@@ -340,10 +313,6 @@ def integrate(system: DdeSystem, history: HistoryFunction,
         states[k + 1] = xn
         if ode:
             derivs[k + 1] = rhs(t1, xn, xn)
-        elif aligned:
-            derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
         else:
-            # derivs[k+1] is not stored yet, so only segments up to k-1 have
-            # complete Hermite data; t1 - lag <= t_k keeps this in range
-            derivs[k + 1] = rhs(t1, xn, free_lag(t1 - lag, k))
+            derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
     return Trajectory(step=h, states=states, derivs=derivs, history=history)

@@ -196,8 +196,7 @@ def default_step(params: ModelParams) -> float:
 
 
 def simulate(model: str, params: ModelParams, horizon: float,
-             step: float | None = None, phi1=None, phi2=None,
-             align_lag: bool = True) -> Trajectory:
+             step: float | None = None, phi1=None, phi2=None) -> Trajectory:
     """Integrate one scenario of either model.
 
     Parameters
@@ -223,7 +222,7 @@ def simulate(model: str, params: ModelParams, horizon: float,
     else:
         raise ValueError(f"unknown model kind: {model!r}")
     h = default_step(params) if step is None else float(step)
-    config = IntegrationConfig(step=h, horizon=horizon, align_lag=align_lag)
+    config = IntegrationConfig(step=h, horizon=horizon)
     return integrate(system, history, config)
 
 

@@ -2,12 +2,12 @@
 
 Linearising either model about the symmetric equilibrium and uncoupling the
 sum and difference of the perturbations leaves a scalar transcendental
-characteristic equation for the difference mode.  This module evaluates the
-corresponding residuals, computes critical delays (in closed form for the
-constant-delay model, by scan + bisection for the moving-average model),
-tracks characteristic roots with Newton iteration, evaluates the analytic
-root-crossing rates under small delay perturbations, and sweeps Hopf curves
-over the arrival rate.
+characteristic equation R(r, delta) = 0 for the difference mode.  Everything
+here follows from its residual: the critical delays, where a root pair sits
+at r = i omega (in closed form for the constant-delay model, from the phase
+equation of the residual at i omega for the moving-average model); Newton
+tracking of a root as the delay moves; the implicit-function crossing rate
+dr/ddelta = -R_delta / R_r; and Hopf curves over the arrival rate.
 """
 
 from __future__ import annotations
@@ -23,26 +23,16 @@ from .models import CONSTANT, MOVING_AVERAGE
 __all__ = [
     "ConvergenceError",
     "HopfPoint",
-    "PerturbationQuery",
     "characteristic_residual_constant",
     "characteristic_residual_ma",
     "critical_delay_constant",
     "critical_delay_ma",
+    "crossing_rate",
     "hopf_curve",
-    "hopf_frequency_ma",
     "ma_candidate_roots",
     "ma_threshold_function",
-    "r2_constant",
-    "r2_ma",
     "root_track",
 ]
-
-# Tolerance separating true moving-average roots from extraneous ones: true
-# roots satisfy the unsquared sine/cosine pair to ~1e-8 after bisection,
-# extraneous candidates miss the cosine condition by ~0.4.
-MA_VALIDATION_TOL = 5e-3
-
-_MA_SCAN_POINTS = 2000
 
 
 class ConvergenceError(RuntimeError):
@@ -53,9 +43,10 @@ class ConvergenceError(RuntimeError):
 class HopfPoint:
     """A point (lam, mu, delta_cr, omega) on a Hopf curve.
 
-    ``branch`` 0 is the smallest positive critical delay.  ``validated``
-    records whether a moving-average candidate satisfies both unsquared
-    imaginary-axis conditions (always True for the constant-delay model).
+    ``branch`` 0 is the smallest positive critical delay.  ``validated`` is
+    always True: every point satisfies both imaginary-axis conditions of its
+    model by construction.  It is kept as the ``validated`` column of the
+    hopf-curve CSV.
     """
 
     lam: float
@@ -64,23 +55,6 @@ class HopfPoint:
     omega: float
     branch: int = 0
     validated: bool = True
-
-
-@dataclass(frozen=True)
-class PerturbationQuery:
-    """Delay perturbation around a Hopf point.
-
-    ``delta1`` is the full (signed) perturbation of the delay away from
-    ``delta0``; the bookkeeping small parameter is absorbed into it.
-    """
-
-    delta0: float
-    delta1: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
-            raise ValueError("delta0 must be finite and > 0")
 
 
 def _validate_rates(lam: float, mu: float) -> None:
@@ -126,36 +100,21 @@ def characteristic_residual_ma(r: complex, lam: float, mu: float,
     return r * r + mu * r - (0.5 * lam / delta) * (cmath.exp(-r * delta) - 1.0)
 
 
-def hopf_frequency_ma(lam: float, mu: float, delta: float) -> float:
-    """Crossing frequency sqrt(lam / delta - mu^2) of the moving-average model."""
-    _validate_rates(lam, mu)
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    arg = lam / delta - mu * mu
-    if arg <= 0.0:
-        raise ValueError("no real crossing frequency: lam / delta <= mu^2")
-    return math.sqrt(arg)
+def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
+    """Phase function lam sin(theta) + 2 mu theta of the moving-average model.
 
-
-def ma_threshold_function(delta, lam: float, mu: float):
-    """Moving-average threshold function whose zeros are critical-delay candidates.
-
-    f(delta) = sin(delta * omega) + (2 mu delta / lam) * omega with
-    omega = sqrt(lam / delta - mu^2); defined for 0 < delta < lam / mu^2.
-    Accepts scalar or array delta.
+    At r = i omega with the phase theta = omega delta, the imaginary part of
+    the cleared residual is this function divided by 2 delta, and the real
+    part vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
+    Every zero theta > 0 is therefore a Hopf point at that delta.
     """
     _validate_rates(lam, mu)
-    d = np.asarray(delta, dtype=float)
-    if np.any(d <= 0.0) or np.any(lam / d <= mu * mu):
-        raise ValueError("delta must lie in (0, lam / mu^2)")
-    omega = np.sqrt(lam / d - mu * mu)
-    f = np.sin(d * omega) + (2.0 * mu * d / lam) * omega
-    return float(f) if np.isscalar(delta) else f
+    return lam * math.sin(theta) + 2.0 * mu * theta
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, max_iter: int = 200) -> float:
-    # refine to float resolution; the residual at i*omega is steep in delta
-    # for large lam, so a coarse root would not sit on the imaginary axis
+    # refine to float resolution; the residual at i*omega is steep in the
+    # phase for large lam, so a coarse root would not sit on the imaginary axis
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -170,85 +129,55 @@ def _bisect(f, lo: float, hi: float, f_lo: float, max_iter: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def ma_candidate_roots(lam: float, mu: float,
-                       bracket: tuple[float, float] | None = None) -> list[HopfPoint]:
-    """All sign-change roots of the moving-average threshold function.
+def ma_candidate_roots(lam: float, mu: float) -> list[HopfPoint]:
+    """Every moving-average Hopf point, in increasing phase.
 
-    Scans a geometric grid over (1e-4 lam/mu^2, lam/mu^2), or the given
-    bracket intersected with that domain, refines each sign change by
-    bisection to an interval below 1e-10, and flags each candidate as
-    validated when both unsquared conditions
-
-        cos(omega delta) = 1 - 2 delta omega^2 / lam
-        sin(omega delta) = -2 delta mu omega / lam
-
-    hold within ``MA_VALIDATION_TOL`` (squaring them introduces extraneous
-    roots, which fail the cosine condition by a wide margin).  The trivial
-    omega = 0 root at the domain boundary never produces a sign change.
+    The phase function is positive at every multiple of pi and on
+    (k pi, (k + 1) pi) for even k.  For odd k it is convex there, with its
+    minimum at k pi + arccos(2 mu / lam), so an odd interval holds two
+    roots, one on each side of the minimum, when the minimum is negative,
+    and none otherwise; no interval with 2 mu k pi >= lam can.  Each root
+    theta is bisected to float resolution and mapped to
+    delta = 2 theta^2 / (lam (1 - cos theta)) and omega = theta / delta,
+    where both parts of the residual vanish.
     """
     _validate_rates(lam, mu)
-    delta_max = lam / (mu * mu)
-    lo, hi = (1e-4 * delta_max, delta_max) if bracket is None else bracket
-    lo = max(float(lo), 1e-9 * delta_max)
-    hi = min(float(hi), (1.0 - 1e-9) * delta_max)
-    if not lo < hi:
-        return []
-    grid = np.geomspace(lo, hi, _MA_SCAN_POINTS)
-    f_vals = ma_threshold_function(grid, lam, mu)
 
-    def f(d: float) -> float:
-        return ma_threshold_function(d, lam, mu)
+    def f(theta: float) -> float:
+        return ma_threshold_function(theta, lam, mu)
 
     points: list[HopfPoint] = []
-    for i in np.nonzero(np.sign(f_vals[:-1]) * np.sign(f_vals[1:]) < 0.0)[0]:
-        delta = _bisect(f, float(grid[i]), float(grid[i + 1]), float(f_vals[i]))
-        omega = hopf_frequency_ma(lam, mu, delta)
-        cos_err = abs(math.cos(omega * delta) - (1.0 - 2.0 * delta * omega * omega / lam))
-        sin_err = abs(math.sin(omega * delta) + 2.0 * delta * mu * omega / lam)
-        ok = cos_err <= MA_VALIDATION_TOL and sin_err <= MA_VALIDATION_TOL
-        points.append(HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega,
-                                branch=len(points), validated=ok))
+    k = 1
+    while 2.0 * mu * k * math.pi < lam:
+        lo, hi = k * math.pi, (k + 1) * math.pi
+        low_point = lo + math.acos(2.0 * mu / lam)
+        f_low = f(low_point)
+        if f_low < 0.0:
+            for a, b, f_a in ((lo, low_point, f(lo)), (low_point, hi, f_low)):
+                theta = _bisect(f, a, b, f_a)
+                delta = 2.0 * theta * theta / (lam * (1.0 - math.cos(theta)))
+                points.append(HopfPoint(lam=lam, mu=mu, delta_cr=delta,
+                                        omega=theta / delta))
+        k += 2
     return points
 
 
 def critical_delay_ma(lam: float, mu: float,
                       bracket: tuple[float, float] | None = None) -> list[HopfPoint]:
-    """Validated moving-average critical delays, sorted and branch-indexed.
+    """Moving-average critical delays, sorted and branch-indexed.
 
-    Returns an empty list when no validated root lies in range.
+    With a ``bracket`` (lo, hi), only the delays in [lo, hi] are kept and
+    indexed.  Returns an empty list when none lies in range.
     """
-    validated = [p for p in ma_candidate_roots(lam, mu, bracket) if p.validated]
-    return [replace(p, branch=i) for i, p in enumerate(validated)]
-
-
-def r2_constant(query: PerturbationQuery, lam: float, mu: float) -> float:
-    """Real part acquired by the critical root pair of the constant-delay
-    model under a delay perturbation delta0 -> delta0 + delta1.
-
-    The denominator is a sum of positive terms, so the sign always equals
-    the sign of delta1: increasing the delay pushes the pair rightward.
-    """
-    d0 = query.delta0
-    w = query.omega
-    return 4.0 * w * w * query.delta1 / (8.0 * d0 * mu + d0 * d0 * lam * lam + 4.0)
-
-
-def r2_ma(query: PerturbationQuery, lam: float, mu: float) -> float:
-    """Real part acquired by the critical root pair of the moving-average
-    model under a delay perturbation delta0 -> delta0 + delta1.
-
-    The sign equals sign(delta1) * sign(delta0 omega^2 - mu lam); see
-    ``root_track`` for a direct numerical check of crossing directions.
-    """
-    d0 = query.delta0
-    w2 = query.omega * query.omega
-    num = 2.0 * query.delta1 * w2 * (2.0 * d0 * w2 - 2.0 * mu * lam)
-    den = (8.0 * d0 * d0 * mu * w2 + 12.0 * d0 * w2
-           + 4.0 * d0 * lam * mu + d0 * lam * lam + 4.0 * lam)
-    return num / den
+    lo, hi = (0.0, math.inf) if bracket is None else bracket
+    inside = sorted((p for p in ma_candidate_roots(lam, mu) if lo <= p.delta_cr <= hi),
+                    key=lambda p: p.delta_cr)
+    return [replace(p, branch=i) for i, p in enumerate(inside)]
 
 
 def _residual_and_derivative(model: str, lam: float, mu: float, delta: float):
+    """The residual R(r) at fixed (lam, mu, delta), and its partials
+    dR/dr and dR/ddelta."""
     if model == CONSTANT:
         if delta < 0.0:
             raise ValueError("delta must be >= 0 for the constant-delay model")
@@ -258,6 +187,9 @@ def _residual_and_derivative(model: str, lam: float, mu: float, delta: float):
 
         def dres(r: complex) -> complex:
             return 1.0 - 0.5 * lam * delta * cmath.exp(-r * delta)
+
+        def dres_ddelta(r: complex) -> complex:
+            return -0.5 * lam * r * cmath.exp(-r * delta)
 
     elif model == MOVING_AVERAGE:
         if delta <= 0.0:
@@ -269,9 +201,13 @@ def _residual_and_derivative(model: str, lam: float, mu: float, delta: float):
         def dres(r: complex) -> complex:
             return 2.0 * r + mu + 0.5 * lam * cmath.exp(-r * delta)
 
+        def dres_ddelta(r: complex) -> complex:
+            decay = cmath.exp(-r * delta)
+            return 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
+
     else:
         raise ValueError(f"unknown model kind: {model!r}")
-    return res, dres
+    return res, dres, dres_ddelta
 
 
 def root_track(model: str, lam: float, mu: float, delta: float,
@@ -289,7 +225,7 @@ def root_track(model: str, lam: float, mu: float, delta: float,
         singular derivative at an iterate.
     """
     _validate_rates(lam, mu)
-    res, dres = _residual_and_derivative(model, lam, mu, delta)
+    res, dres, _ = _residual_and_derivative(model, lam, mu, delta)
     r = complex(seed)
     if not (math.isfinite(r.real) and math.isfinite(r.imag)):
         raise ValueError("seed must be finite")
@@ -307,13 +243,28 @@ def root_track(model: str, lam: float, mu: float, delta: float,
         f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations")
 
 
+def crossing_rate(model: str, lam: float, mu: float, delta: float,
+                  r: complex) -> complex:
+    """Rate dr/ddelta = -R_delta / R_r at which a characteristic root r
+    moves with the delay.
+
+    This is the implicit-function theorem on R(r, delta) = 0 (Cooke &
+    Grossman, J. Math. Anal. Appl. 86, 1982).  At a Hopf point r = i omega
+    the sign of its real part is the crossing direction: positive where the
+    pair enters the right half-plane as the delay grows.
+    """
+    _validate_rates(lam, mu)
+    _, dres, dres_ddelta = _residual_and_derivative(model, lam, mu, delta)
+    return -dres_ddelta(r) / dres(r)
+
+
 def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
                n_points: int) -> list[HopfPoint]:
     """Critical delay versus arrival rate on a linear lambda grid.
 
     For the constant-delay model the closed form is evaluated where
-    lam > 2 mu; for the moving-average model the smallest validated branch
-    is used.  Grid points without a (validated) root emit nothing.
+    lam > 2 mu; for the moving-average model the smallest branch is used.
+    Grid points without a root emit nothing.
     """
     if model not in (CONSTANT, MOVING_AVERAGE):
         raise ValueError(f"unknown model kind: {model!r}")

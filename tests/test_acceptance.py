@@ -14,14 +14,13 @@ from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
     ModelParams,
-    PerturbationQuery,
     characteristic_residual_constant,
     characteristic_residual_ma,
     critical_delay_constant,
     critical_delay_ma,
+    crossing_rate,
     hopf_curve,
     ma_candidate_roots,
-    r2_constant,
     root_track,
     simulate,
 )
@@ -130,15 +129,21 @@ def test_a04_moving_average_regimes():
 
 
 def test_a05_extraneous_root_rejection():
-    candidates = ma_candidate_roots(10.0, 1.0)
-    near_four = [p for p in candidates if 3.9 < p.delta_cr < 4.2]
-    assert len(near_four) == 1
-    p = near_four[0]
-    required = 1.0 - 2.0 * p.delta_cr * p.omega ** 2 / 10.0
-    actual = math.cos(p.omega * p.delta_cr)
-    ok = (not p.validated) and abs(actual - required) > 0.3
+    # the squared (delay) form of the threshold condition changes sign near
+    # delta = 4; the phase equation must not report a Hopf point there
+    def f(d):
+        w = math.sqrt(10.0 / d - 1.0)
+        return math.sin(d * w) + (2.0 * d / 10.0) * w
+
+    delta = _bisect(f, 3.95, 4.1)
+    omega = math.sqrt(10.0 / delta - 1.0)
+    required = 1.0 - 2.0 * delta * omega ** 2 / 10.0
+    actual = math.cos(omega * delta)
+    near_four = [p for p in ma_candidate_roots(10.0, 1.0) if 3.9 < p.delta_cr < 4.2]
+    ok = not near_four and abs(actual - required) > 0.3
     _check("A05 extraneous root rejection near delta=4",
-           ok, f"candidate delta = {p.delta_cr:.4f} rejected; cos condition "
+           ok, f"sign change at delta = {delta:.4f} not reported "
+               f"({len(near_four)} points in (3.9, 4.2)); cos condition "
                f"{actual:+.3f} vs required {required:+.3f} "
                f"(disagreement {abs(actual - required):.3f} > 0.3)")
 
@@ -184,15 +189,14 @@ def test_a08_crossing_direction_oracle():
     ok = True
     for lam, mu in ((10.0, 1.0), (100.0, 5.0), (20.0, 2.0)):
         point = critical_delay_constant(lam, mu)
+        rate = crossing_rate(CONSTANT, lam, mu, point.delta_cr, 1j * point.omega).real
         for delta1 in (eps, -eps):
             root = root_track(CONSTANT, lam, mu, point.delta_cr + delta1,
                               1j * point.omega)
-            formula = r2_constant(
-                PerturbationQuery(point.delta_cr, delta1, point.omega), lam, mu)
-            ok = ok and math.copysign(1.0, root.real) == math.copysign(1.0, formula)
+            ok = ok and math.copysign(1.0, root.real) == math.copysign(1.0, rate * delta1)
         details.append(f"({lam:g},{mu:g})")
-    _check("A08 crossing-direction signs match the perturbation formula",
-           ok, "tracked root and formula agree for " + ", ".join(details)
+    _check("A08 crossing-direction signs match the implicit-function rate",
+           ok, "tracked root and crossing_rate agree for " + ", ".join(details)
                + " at delta_cr +- 1e-3")
 
 

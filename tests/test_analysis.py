@@ -9,6 +9,7 @@ from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
     ModelParams,
+    Trajectory,
     analysis,
     critical_delay_constant,
     simulate,
@@ -200,6 +201,14 @@ class TestSweep:
             assert by_delta[near].observed in (SYNCHRONIZED, OSCILLATORY, INCONCLUSIVE)
             assert math.isfinite(by_delta[near].amplitude)
 
+    def test_ma_high_rate_oscillates_between_small_thresholds(self):
+        # at lam / mu = 1000 the first crossings lie at 0.0099 and 0.0892, so
+        # delta = 0.05 is past a destabilising crossing
+        rows = sweep(MOVING_AVERAGE, 1.0, [1000.0], [0.05], horizon=20.0)
+        assert rows[0].predicted == OSCILLATORY
+        assert rows[0].observed == OSCILLATORY
+        assert rows[0].agree
+
     def test_failures_are_recorded_per_row(self):
         rows = sweep(MOVING_AVERAGE, 1.0, [10.0], [0.0, 1.0])
         assert rows[0].observed == FAILED
@@ -240,14 +249,22 @@ class TestNearThresholdDecay:
     """
 
     def test_slow_transient_resolves_with_horizon(self):
-        amplitudes = {}
+        # a run to T is the T = 2000 run cut after its node at T: the
+        # integrator never reads ahead of the node it is computing
+        p = ModelParams(10.0, 1.0, 2.0)
+        full = simulate(MOVING_AVERAGE, p, horizon=2000.0)
+        eps_sync, eps_osc = default_thresholds(p)
+        verdicts = {}
         for horizon in (300.0, 1000.0, 2000.0):
-            v = _classify(MOVING_AVERAGE, 10.0, 1.0, 2.0, horizon)
-            amplitudes[horizon] = v.amplitude
+            n = int(math.floor(horizon / full.step + 1e-9)) + 1
+            traj = Trajectory(step=full.step, states=full.states[:n],
+                              derivs=full.derivs[:n], history=full.history)
+            v = classify_stability(traj, 0.5, eps_sync, eps_osc)
+            verdicts[horizon] = v
             assert not v.growing
-        assert amplitudes[300.0] > amplitudes[1000.0] > amplitudes[2000.0]
-        final = _classify(MOVING_AVERAGE, 10.0, 1.0, 2.0, 2000.0)
-        assert final.classification == SYNCHRONIZED
+        assert verdicts[300.0].amplitude > verdicts[1000.0].amplitude \
+            > verdicts[2000.0].amplitude
+        assert verdicts[2000.0].classification == SYNCHRONIZED
 
     def test_envelope_decay_matches_tracked_root(self):
         # two independent routes to the decay rate: the simulated envelope

@@ -164,6 +164,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 12
+        # both moving-average crossings at (10, 1), the second restabilising
+        assert "moving-average (10, 1) crossings +1, -1" in out
         assert "all checks passed" in out
 
     def test_failing_check_exits_nonzero(self, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from qdelay import (
     IntegrationConfig,
     NumericalFailureError,
     Trajectory,
-    dense_eval,
     integrate,
     models,
 )
@@ -94,11 +93,14 @@ class TestIntegrate:
         assert last.max() - last.min() > 0.8 * (tail.max() - tail.min())
 
     def test_lag_alignment_shrinks_step(self):
+        # a step above the lag shrinks to the lag itself
         params, system, history = _constant_scenario(delta=0.5)
-        traj = integrate(system, history, IntegrationConfig(step=0.013, horizon=5.0))
-        assert traj.step <= 0.013
-        ratio = 0.5 / traj.step
-        assert abs(ratio - round(ratio)) < 1e-9
+        for step in (0.013, 0.7):
+            traj = integrate(system, history, IntegrationConfig(step=step, horizon=5.0))
+            assert traj.step <= step
+            ratio = 0.5 / traj.step
+            assert abs(ratio - round(ratio)) < 1e-9
+        assert traj.step == 0.5
 
     def test_node_count(self):
         params, system, history = _constant_scenario(delta=0.4)
@@ -149,31 +151,6 @@ class TestIntegrate:
         history = HistoryFunction.constant([5.0, 5.0], 0.3)
         with pytest.raises(ValueError):
             integrate(system, history, IntegrationConfig(step=0.01, horizon=1.0))
-
-    def test_unaligned_mode(self):
-        # alignment off still integrates correctly when step <= lag
-        params, system, history = _constant_scenario(delta=0.5, phi=(8.0, 8.0))
-        traj = integrate(system, history,
-                         IntegrationConfig(step=0.013, horizon=10.0, align_lag=False))
-        assert traj.step == 0.013
-        exact = 5.0 + 3.0 * np.exp(-traj.times)
-        np.testing.assert_allclose(traj.states[:, 0], exact, atol=1e-6, rtol=0.0)
-        with pytest.raises(ValueError):
-            integrate(system, history,
-                      IntegrationConfig(step=0.7, horizon=10.0, align_lag=False))
-
-    def test_unaligned_step_equal_to_lag(self):
-        # lagged reads then land exactly on fresh nodes whose Hermite segment
-        # is only partially stored; regression: every stored derivative must
-        # match the rhs recomputed from the finished trajectory
-        params, system, history = _constant_scenario(delta=0.4, phi=(5.5, 4.5))
-        traj = integrate(system, history,
-                         IntegrationConfig(step=0.4, horizon=8.0, align_lag=False))
-        assert np.all(np.isfinite(traj.derivs))
-        for k, t in enumerate(traj.times):
-            lagged = traj.eval(t - 0.4)
-            expected = models.constant_delay_rhs(t, traj.states[k], lagged, params)
-            np.testing.assert_allclose(traj.derivs[k], expected, atol=1e-10, rtol=0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -230,11 +207,6 @@ class TestDenseEval:
         ts = np.linspace(0.005, 4.995, 500)
         exact = 5.0 + 3.0 * np.exp(-ts)
         assert np.max(np.abs(traj.eval(ts)[:, 0] - exact)) < 1e-6
-
-    def test_module_level_wrapper(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=1.0))
-        np.testing.assert_array_equal(dense_eval(traj, 0.5), traj.eval(0.5))
 
     def test_scalar_and_array_shapes(self):
         params, system, history = _constant_scenario()

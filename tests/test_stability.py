@@ -1,9 +1,10 @@
 """Hopf machinery tests.
 
-Independent oracles: the threshold function is re-derived inline and
-bisected by a local helper; residuals are checked at claimed roots; root
-tracking and the perturbation formulas cross-validate each other on the
-constant-delay model.
+Independent oracles: the moving-average threshold condition is re-derived
+inline in its delay form and bisected by a local helper; residuals are
+checked at claimed roots; the crossing rate is checked against its closed
+form on the constant-delay model and against finite differences of Newton
+root tracking on the moving-average model.
 """
 
 import math
@@ -15,17 +16,14 @@ from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
     ConvergenceError,
-    PerturbationQuery,
     characteristic_residual_constant,
     characteristic_residual_ma,
     critical_delay_constant,
     critical_delay_ma,
+    crossing_rate,
     hopf_curve,
-    hopf_frequency_ma,
     ma_candidate_roots,
     ma_threshold_function,
-    r2_constant,
-    r2_ma,
     root_track,
 )
 
@@ -125,22 +123,6 @@ class TestResidualMa:
             characteristic_residual_ma(1.0, 10.0, 1.0, 0.0)
 
 
-class TestHopfFrequencyMa:
-    def test_unit_case(self):
-        # lam / delta = mu^2 + 1 makes the frequency exactly 1
-        assert hopf_frequency_ma(10.0, 3.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_value(self):
-        assert hopf_frequency_ma(100.0, 1.0, 0.1) == pytest.approx(math.sqrt(999.0),
-                                                                   abs=1e-12)
-
-    def test_domain_boundary(self):
-        with pytest.raises(ValueError):
-            hopf_frequency_ma(10.0, 1.0, 10.0)
-        with pytest.raises(ValueError):
-            hopf_frequency_ma(10.0, 1.0, 12.0)
-
-
 class TestCriticalDelayMa:
     def test_smallest_root_matches_bisection_oracle(self):
         oracle = _bisect_oracle(lambda d: _ma_threshold_oracle(d, 10.0, 1.0), 2.0, 2.2)
@@ -158,17 +140,14 @@ class TestCriticalDelayMa:
         assert points[1].delta_cr == pytest.approx(5.9634666, abs=1e-5)
 
     def test_extraneous_candidate_near_four_is_rejected(self):
-        candidates = ma_candidate_roots(10.0, 1.0)
-        rejected = [p for p in candidates if not p.validated]
-        near_four = [p for p in rejected if 3.9 < p.delta_cr < 4.2]
-        assert len(near_four) == 1
-        p = near_four[0]
-        # independent bracket for the same sign change of the threshold function
+        # the delay form of the threshold condition changes sign near 4 ...
         oracle = _bisect_oracle(lambda d: _ma_threshold_oracle(d, 10.0, 1.0), 3.95, 4.1)
-        assert p.delta_cr == pytest.approx(oracle, abs=1e-8)
-        # it fails the unsquared cosine condition by a wide margin
-        required = 1.0 - 2.0 * p.delta_cr * p.omega ** 2 / 10.0
-        assert abs(math.cos(p.omega * p.delta_cr) - required) > 0.3
+        omega = math.sqrt(10.0 / oracle - 1.0)
+        # ... where the unsquared cosine condition fails by a wide margin
+        required = 1.0 - 2.0 * oracle * omega ** 2 / 10.0
+        assert abs(math.cos(omega * oracle) - required) > 0.3
+        # so no Hopf point of the phase equation lies there
+        assert not [p for p in ma_candidate_roots(10.0, 1.0) if 3.9 < p.delta_cr < 4.2]
 
     def test_high_rate_smallest_root(self):
         oracle = _bisect_oracle(lambda d: _ma_threshold_oracle(d, 100.0, 1.0),
@@ -176,6 +155,16 @@ class TestCriticalDelayMa:
         points = critical_delay_ma(100.0, 1.0)
         assert points[0].delta_cr == pytest.approx(oracle, abs=1e-8)
         assert points[0].delta_cr == pytest.approx(0.103, abs=1e-3)
+
+    def test_smallest_roots_near_pi_squared_over_lam(self):
+        # at lam / mu = 1000 the first thresholds sit near pi^2 / lam and
+        # 9 pi^2 / lam, four orders of magnitude below lam / mu^2
+        points = critical_delay_ma(1000.0, 1.0)
+        assert points[0].delta_cr == pytest.approx(0.0099093, abs=1e-7)
+        assert points[1].delta_cr == pytest.approx(0.0891908, abs=1e-7)
+        for p in points[:2]:
+            assert abs(characteristic_residual_ma(1j * p.omega, 1000.0, 1.0,
+                                                  p.delta_cr)) < 1e-8
 
     def test_validated_points_satisfy_both_conditions(self):
         for lam in (10.0, 30.0, 100.0):
@@ -191,62 +180,65 @@ class TestCriticalDelayMa:
         assert critical_delay_ma(10.0, 1.0, bracket=(0.5, 1.5)) == []
 
     def test_threshold_function_domain(self):
+        # the phase function lam sin(theta) + 2 mu theta is defined for every
+        # phase, vanishes at the trivial theta = 0 and at the phase of every
+        # Hopf point, and rejects invalid rates
+        assert ma_threshold_function(0.0, 10.0, 1.0) == 0.0
+        assert ma_threshold_function(4.0, 10.0, 1.0) == \
+            pytest.approx(10.0 * math.sin(4.0) + 8.0, abs=1e-14)
+        for p in ma_candidate_roots(10.0, 1.0):
+            assert abs(ma_threshold_function(p.omega * p.delta_cr, 10.0, 1.0)) < 1e-12
         with pytest.raises(ValueError):
-            ma_threshold_function(12.0, 10.0, 1.0)
-        vals = ma_threshold_function(np.array([1.0, 2.0]), 10.0, 1.0)
-        assert vals.shape == (2,)
-        assert vals[0] == pytest.approx(_ma_threshold_oracle(1.0, 10.0, 1.0), abs=1e-14)
+            ma_threshold_function(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            ma_threshold_function(1.0, 10.0, math.nan)
 
 
-class TestPerturbationFormulas:
-    def test_r2_constant_plug_in(self):
-        q = PerturbationQuery(delta0=0.36174, delta1=1.0, omega=4.89898)
-        expected = 4.0 * 4.89898 ** 2 / (8.0 * 0.36174 + 0.36174 ** 2 * 100.0 + 4.0)
-        got = r2_constant(q, 10.0, 1.0)
+class TestCrossingRate:
+    def test_constant_closed_form(self):
+        # Re dr/ddelta at i omega, written out for the constant-delay model
+        point = critical_delay_constant(10.0, 1.0)
+        d, w = point.delta_cr, point.omega
+        expected = 4.0 * w * w / (8.0 * d * 1.0 + d * d * 100.0 + 4.0)
+        got = crossing_rate(CONSTANT, 10.0, 1.0, d, 1j * w).real
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(4.805, abs=2e-3)
 
-    def test_r2_constant_sign_follows_delta1(self):
+    def test_constant_pair_always_destabilises(self):
         for _ in range(50):
             mu = RNG.uniform(0.3, 5.0)
             lam = RNG.uniform(2.2 * mu, 60.0 * mu)
             point = critical_delay_constant(lam, mu)
-            d1 = RNG.uniform(-0.5, 0.5)
-            val = r2_constant(PerturbationQuery(point.delta_cr, d1, point.omega),
-                              lam, mu)
-            if d1 != 0.0:
-                assert math.copysign(1.0, val) == math.copysign(1.0, d1)
-        q0 = PerturbationQuery(0.36174, 0.0, 4.89898)
-        assert r2_constant(q0, 10.0, 1.0) == 0.0
+            d, w = point.delta_cr, point.omega
+            got = crossing_rate(CONSTANT, lam, mu, d, 1j * w).real
+            assert got > 0.0
+            assert got == pytest.approx(
+                4.0 * w * w / (8.0 * d * mu + d * d * lam * lam + 4.0), rel=1e-14)
 
-    def test_r2_ma_plug_in(self):
-        q = PerturbationQuery(delta0=2.146, delta1=1.0, omega=1.913)
-        w2 = 1.913 ** 2
-        num = 2.0 * w2 * (2.0 * 2.146 * w2 - 20.0)
-        den = (8.0 * 2.146 ** 2 * w2 + 12.0 * 2.146 * w2
-               + 4.0 * 2.146 * 10.0 + 2.146 * 100.0 + 40.0)
-        got = r2_ma(q, 10.0, 1.0)
-        assert got == pytest.approx(num / den, rel=1e-14)
-        assert got == pytest.approx(-0.0551, abs=5e-4)
+    def test_ma_rate_matches_tracked_roots(self):
+        # central differences of Newton-tracked roots on both branches at
+        # (10, 1): the pair enters the right half-plane at 2.1448 and leaves
+        # it at 5.9635
+        h = 1e-4
+        rates = []
+        for point in critical_delay_ma(10.0, 1.0):
+            above, below = (root_track(MOVING_AVERAGE, 10.0, 1.0, point.delta_cr + d,
+                                       1j * point.omega) for d in (h, -h))
+            fd = (above - below) / (2.0 * h)
+            rate = crossing_rate(MOVING_AVERAGE, 10.0, 1.0, point.delta_cr,
+                                 1j * point.omega)
+            assert rate.real == pytest.approx(fd.real, rel=1e-5)
+            assert rate.imag == pytest.approx(fd.imag, rel=1e-5)
+            rates.append(rate.real)
+        assert rates == pytest.approx([0.0477374, -0.00476397], rel=1e-5)
 
-    def test_r2_ma_sign_structure(self):
-        # sign(delta1) * sign(delta0 w^2 - mu lam), zero exactly on the boundary
-        for _ in range(50):
-            d0 = RNG.uniform(0.5, 8.0)
-            w = RNG.uniform(0.2, 5.0)
-            d1 = RNG.uniform(-1.0, 1.0)
-            val = r2_ma(PerturbationQuery(d0, d1, w), 10.0, 1.0)
-            lead = d1 * (d0 * w * w - 10.0)
-            if lead != 0.0:
-                assert math.copysign(1.0, val) == math.copysign(1.0, lead)
-        w_boundary = math.sqrt(10.0 / 2.0)  # delta0 w^2 = mu lam
-        assert r2_ma(PerturbationQuery(2.0, 1.0, w_boundary), 10.0, 1.0) == \
-            pytest.approx(0.0, abs=1e-15)
-        assert r2_ma(PerturbationQuery(2.0, 0.0, 1.5), 10.0, 1.0) == 0.0
-
-    def test_query_validation(self):
+    def test_errors(self):
         with pytest.raises(ValueError):
-            PerturbationQuery(delta0=0.0, delta1=0.1, omega=1.0)
+            crossing_rate("other", 10.0, 1.0, 0.4, 1j)
+        with pytest.raises(ValueError):
+            crossing_rate(MOVING_AVERAGE, 10.0, 1.0, 0.0, 1j)
+        with pytest.raises(ValueError):
+            crossing_rate(CONSTANT, 0.0, 1.0, 0.4, 1j)
 
 
 class TestRootTrack:
@@ -260,18 +252,17 @@ class TestRootTrack:
             root = root_track(CONSTANT, lam, mu, point.delta_cr, 1j * point.omega)
             assert abs(root.real) < 1e-7
 
-    def test_crossing_direction_matches_r2_constant(self):
+    def test_crossing_direction_matches_crossing_rate(self):
         eps = 1e-3
         for lam, mu in ((10.0, 1.0), (100.0, 5.0), (20.0, 2.0), (5.0, 0.5)):
             point = critical_delay_constant(lam, mu)
+            rate = crossing_rate(CONSTANT, lam, mu, point.delta_cr, 1j * point.omega)
             for d1 in (eps, -eps):
                 root = root_track(CONSTANT, lam, mu, point.delta_cr + d1,
                                   1j * point.omega)
-                formula = r2_constant(
-                    PerturbationQuery(point.delta_cr, d1, point.omega), lam, mu)
-                assert math.copysign(1.0, root.real) == math.copysign(1.0, formula)
-                # near the threshold the tracked rate matches the formula closely
-                assert root.real == pytest.approx(formula, rel=0.1)
+                assert math.copysign(1.0, root.real) == math.copysign(1.0, rate.real * d1)
+                # near the threshold the tracked real part follows the rate
+                assert root.real == pytest.approx(rate.real * d1, rel=0.1)
 
     def test_ma_track_finds_residual_root(self):
         point = critical_delay_ma(10.0, 1.0)[0]
