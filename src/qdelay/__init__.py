@@ -14,6 +14,7 @@ from .analysis import (
     StabilityVerdict,
     SweepRow,
     analytic_threshold,
+    classify_difference,
     classify_stability,
     conservation_check,
     default_thresholds,
@@ -44,6 +45,7 @@ from .models import (
     ma_system,
     mnl_weights,
     simulate,
+    simulate_difference,
 )
 from .stability import (
     ConvergenceError,

@@ -21,6 +21,7 @@ __all__ = [
     "StabilityVerdict",
     "SweepRow",
     "analytic_threshold",
+    "classify_difference",
     "classify_stability",
     "conservation_check",
     "default_thresholds",
@@ -146,7 +147,17 @@ def _classify_amplitude(amplitude: float, eps_sync: float, eps_osc: float) -> st
 
 def classify_stability(traj: Trajectory, burn_in_fraction: float,
                        eps_sync: float, eps_osc: float) -> StabilityVerdict:
-    """Classify the asymptotic regime of q1 - q2 from the tail after a burn-in.
+    """Classify the asymptotic regime of a two-queue trajectory: its
+    difference q1 - q2 on the trajectory's nodes, by ``classify_difference``."""
+    return classify_difference(traj.times, traj.states[:, 0] - traj.states[:, 1],
+                               burn_in_fraction, eps_sync, eps_osc)
+
+
+def classify_difference(times: np.ndarray, diff: np.ndarray, burn_in_fraction: float,
+                        eps_sync: float, eps_osc: float) -> StabilityVerdict:
+    """Classify the asymptotic regime of q1 - q2, sampled as ``diff`` on the
+    uniform grid ``times`` (as ``simulate_difference`` returns it), from the
+    tail after a burn-in.
 
     The raw amplitude is max - min of the difference over the post-burn-in
     nodes.  Near a Hopf threshold the slowest mode relaxes over many
@@ -173,7 +184,6 @@ def classify_stability(traj: Trajectory, burn_in_fraction: float,
         raise ValueError("burn_in_fraction must lie in (0, 1)")
     if not 0.0 < eps_sync < eps_osc:
         raise ValueError("thresholds must satisfy 0 < eps_sync < eps_osc")
-    diff = traj.states[:, 0] - traj.states[:, 1]
     n = diff.size
     start = math.ceil(burn_in_fraction * (n - 1))
     tail = diff[start:]
@@ -183,7 +193,7 @@ def classify_stability(traj: Trajectory, burn_in_fraction: float,
     classification = _classify_amplitude(amplitude, eps_sync, eps_osc)
     rate = limit = math.nan
     if amplitude >= eps_sync:
-        fit = _envelope_fit(traj.times[start:], tail)
+        fit = _envelope_fit(times[start:], tail)
         if fit is not None:
             rate, limit, trusted = fit
             if trusted:
@@ -194,8 +204,8 @@ def classify_stability(traj: Trajectory, burn_in_fraction: float,
     prev = diff[q2:q3 + 1]
     growing = float(last.max() - last.min()) > float(prev.max() - prev.min())
     return StabilityVerdict(classification=classification, amplitude=amplitude,
-                            burn_in=float(traj.times[start]),
-                            horizon=traj.horizon, growing=growing,
+                            burn_in=float(times[start]),
+                            horizon=float(times[-1]), growing=growing,
                             rate=rate, limit_amplitude=limit)
 
 
@@ -240,12 +250,25 @@ def _default_horizon(mu: float, delta: float) -> float:
     return max(200.0 / mu, 50.0 * delta)
 
 
+def _observe(model: str, params: models.ModelParams, horizon: float | None,
+             step: float | None, phi1, phi2,
+             burn_in_fraction: float) -> StabilityVerdict:
+    """Integrate the difference mode of one scenario and classify it against
+    the default thresholds; the horizon defaults to ``_default_horizon``."""
+    if horizon is None:
+        horizon = _default_horizon(params.mu, params.delta)
+    times, diff = models.simulate_difference(model, params, horizon, step=step,
+                                             phi1=phi1, phi2=phi2)
+    return classify_difference(times, diff, burn_in_fraction,
+                               *default_thresholds(params))
+
+
 def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
           step: float | None = None, phi1: float | None = None,
           phi2: float | None = None,
           burn_in_fraction: float = 0.5) -> list[SweepRow]:
-    """Integrate and classify every (lam, delta) cell against the analytic
-    Hopf crossings.
+    """Integrate the difference mode of every (lam, delta) cell, classify it
+    and confront it with the analytic Hopf crossings.
 
     A cell is predicted oscillatory when more destabilising than
     restabilising crossings lie at or below its delay (the moving-average
@@ -254,7 +277,8 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
     Rows are produced in grid order (lambdas outer, deltas inner) and are
     independent of each other; integration failures are recorded per row
     rather than aborting the sweep.  ``agree`` is True when the observed
-    verdict matches the prediction or no prediction exists.
+    verdict matches the prediction or no prediction exists.  Cells are
+    integrated by ``models.simulate_difference``, so histories are constants.
     """
     rows: list[SweepRow] = []
     for lam in lambdas:
@@ -271,11 +295,8 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
                 predicted = SYNCHRONIZED
             try:
                 params = models.ModelParams(lam=lam, mu=mu, delta=delta)
-                run_horizon = _default_horizon(mu, delta) if horizon is None else horizon
-                traj = models.simulate(model, params, horizon=run_horizon,
-                                       step=step, phi1=phi1, phi2=phi2)
-                eps_sync, eps_osc = default_thresholds(params)
-                verdict = classify_stability(traj, burn_in_fraction, eps_sync, eps_osc)
+                verdict = _observe(model, params, horizon, step, phi1, phi2,
+                                   burn_in_fraction)
             except (NumericalFailureError, ValueError) as exc:
                 rows.append(SweepRow(lam=lam, mu=mu, delta=delta,
                                      predicted=predicted, observed=FAILED,
@@ -296,7 +317,8 @@ def locate_transition(model: str, lam: float, mu: float, delta_lo: float,
                       burn_in_fraction: float = 0.5,
                       phi1: float | None = None,
                       phi2: float | None = None) -> float:
-    """Bisect on the delay for the simulated synchronized/oscillatory flip.
+    """Bisect on the delay for the simulated synchronized/oscillatory flip,
+    classifying the difference mode as ``sweep`` does.
 
     ``delta_lo`` must classify synchronized and ``delta_hi`` must not; the
     returned midpoint estimates the simulated stability boundary, which can
@@ -305,11 +327,8 @@ def locate_transition(model: str, lam: float, mu: float, delta_lo: float,
 
     def observed(delta: float) -> str:
         params = models.ModelParams(lam=lam, mu=mu, delta=delta)
-        run_horizon = _default_horizon(mu, delta) if horizon is None else horizon
-        traj = models.simulate(model, params, horizon=run_horizon,
-                               phi1=phi1, phi2=phi2)
-        eps_sync, eps_osc = default_thresholds(params)
-        return classify_stability(traj, burn_in_fraction, eps_sync, eps_osc).classification
+        return _observe(model, params, horizon, None, phi1, phi2,
+                        burn_in_fraction).classification
 
     if observed(delta_lo) != SYNCHRONIZED:
         raise ValueError("delta_lo does not classify as synchronized")

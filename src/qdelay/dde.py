@@ -25,6 +25,7 @@ __all__ = [
     "NumericalFailureError",
     "Trajectory",
     "integrate",
+    "lag_grid",
 ]
 
 DdeRhs = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -136,6 +137,24 @@ class IntegrationConfig:
             raise ValueError("step must be finite and > 0")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError("horizon must be finite and > 0")
+
+
+def lag_grid(lag: float, config: IntegrationConfig) -> tuple[int, float, int]:
+    """The integration grid ``(m, h, n)`` for a lag and a requested step.
+
+    For a positive lag the effective step is ``h = lag / m`` with
+    ``m = ceil(lag / step)``, so the lag is exactly ``m`` steps; at lag 0
+    (an ODE) ``m = 0`` and ``h`` is the requested step.  The grid holds the
+    nodes ``k * h`` for ``k = 0 .. n``, ``n = floor(horizon / h)``.  Both
+    quotients forgive 1e-9 of rounding.
+    """
+    if lag == 0.0:
+        m = 0
+        h = config.step
+    else:
+        m = max(1, math.ceil(lag / config.step - 1e-9))
+        h = lag / m
+    return m, h, int(math.floor(config.horizon / h + 1e-9))
 
 
 def _hermite(theta, h, y0, y1, m0, m1):
@@ -251,17 +270,9 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     if history.dimension != system.dimension:
         raise ValueError("history dimension must match system dimension")
 
-    lag = system.lag
     rhs = system.rhs
-    ode = lag == 0.0
-    if ode:
-        m = 0
-        h = config.step
-    else:
-        m = max(1, math.ceil(lag / config.step - 1e-9))
-        h = lag / m
-
-    n = int(math.floor(config.horizon / h + 1e-9))
+    m, h, n = lag_grid(system.lag, config)
+    ode = m == 0
     dim = system.dimension
     states = np.empty((n + 1, dim))
     derivs = np.empty((n + 1, dim))

@@ -12,6 +12,10 @@ State layout (plain arrays, as consumed by the integrator):
 
 * constant-delay model: ``x = (q1, q2)``
 * moving-average model: ``x = (q1, q2, m1, m2)``
+
+The logit weights of (a, b) sum to one, so ``w1 - w2 = -tanh((a - b) / 2)``,
+and the difference mode ``u = q1 - q2`` obeys an equation of its own, which
+``simulate_difference`` integrates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DdeSystem, HistoryFunction, IntegrationConfig, Trajectory, integrate
+from .dde import (
+    DdeSystem,
+    HistoryFunction,
+    IntegrationConfig,
+    NumericalFailureError,
+    Trajectory,
+    integrate,
+    lag_grid,
+)
 
 __all__ = [
     "CONSTANT",
@@ -39,11 +51,15 @@ __all__ = [
     "ma_system",
     "mnl_weights",
     "simulate",
+    "simulate_difference",
 ]
 
 CONSTANT = "constant"
 MOVING_AVERAGE = "moving-average"
 MODEL_KINDS = (CONSTANT, MOVING_AVERAGE)
+
+_NEEDS_WINDOW = ("the moving-average model needs delta > 0; "
+                 "use the constant model at delta = 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +114,7 @@ def constant_delay_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarr
 def ma_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarray:
     """Derivatives of (q1, q2, m1, m2); the choice rule sees (m1, m2)."""
     if params.delta <= 0.0:
-        raise ValueError(
-            "the moving-average model needs delta > 0; use the constant model at delta = 0")
+        raise ValueError(_NEEDS_WINDOW)
     w1, w2 = mnl_weights(state[2], state[3])
     lam = params.lam
     mu = params.mu
@@ -120,8 +135,7 @@ def constant_delay_system(params: ModelParams) -> DdeSystem:
 
 def ma_system(params: ModelParams) -> DdeSystem:
     if params.delta <= 0.0:
-        raise ValueError(
-            "the moving-average model needs delta > 0; use the constant model at delta = 0")
+        raise ValueError(_NEEDS_WINDOW)
     return DdeSystem(
         dimension=4, lag=params.delta,
         rhs=lambda t, x, xl: ma_rhs(t, x, xl, params))
@@ -224,6 +238,150 @@ def simulate(model: str, params: ModelParams, horizon: float,
     h = default_step(params) if step is None else float(step)
     config = IntegrationConfig(step=h, horizon=horizon)
     return integrate(system, history, config)
+
+
+def simulate_difference(model: str, params: ModelParams, horizon: float,
+                        step: float | None = None, phi1=None,
+                        phi2=None) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate only the difference mode u = q1 - q2 of one scenario.
+
+    With ``g(x) = -lam tanh(x / 2)`` the difference obeys
+
+    * constant model: the scalar DDE ``u' = g(u(t - delta)) - mu u``, an
+      ODE at delta = 0;
+    * moving-average model: ``u' = g(v) - mu u`` and
+      ``v' = (u - u(t - delta)) / delta`` for ``v = m1 - m2``.
+
+    The recursion is that of ``simulate`` (the same grid, RK4 stages and
+    Hermite midpoint for the lagged value) run on floats, so ``u`` equals
+    ``states[:, 0] - states[:, 1]`` of the same ``simulate`` call up to
+    rounding, on identical node times.  Arguments are those of
+    ``simulate``, except that the histories must be constants.
+
+    Returns
+    -------
+    times, u : np.ndarray
+        Node times ``k * h`` and the difference mode at them.
+    """
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {model!r}")
+    if model == MOVING_AVERAGE and params.delta <= 0.0:
+        raise ValueError(_NEEDS_WINDOW)
+    d1, d2 = _default_offsets(params)
+    phi1 = d1 if phi1 is None else phi1
+    phi2 = d2 if phi2 is None else phi2
+    if not (np.isscalar(phi1) and np.isscalar(phi2)):
+        raise ValueError("simulate_difference needs constant histories phi1, phi2")
+    u0 = float(phi1) - float(phi2)
+    h = default_step(params) if step is None else float(step)
+    m, h, n = lag_grid(params.delta, IntegrationConfig(step=h, horizon=horizon))
+    if model == MOVING_AVERAGE:
+        u = _difference_ma(params, u0, m, h, n)
+    elif m == 0:
+        u = _difference_ode(params, u0, h, n)
+    else:
+        u = _difference_constant(params, u0, m, h, n)
+    return np.arange(n + 1) * h, np.array(u)
+
+
+# The kernels below store u and u' per node for the lagged reads.  In step
+# k < m the lagged values come from the constant history (at k = m - 1 the
+# lagged node is node 0, which holds the history value); from then on the
+# lagged node value is u[k + 1 - m] and the lagged stage value the Hermite
+# midpoint of the segment [k - m, k + 1 - m].
+
+
+def _failure(k: int, h: float) -> NumericalFailureError:
+    return NumericalFailureError("integration produced a non-finite state", (k + 1) * h)
+
+
+def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
+                         n: int) -> list[float]:
+    lam, mu = params.lam, params.mu
+    tanh, isfinite = math.tanh, math.isfinite
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    g0 = -lam * tanh(0.5 * u0)
+    u = [u0]
+    du = [g0 - mu * u0]
+    for k in range(n):
+        i = k - m
+        if i < 0:
+            g_mid = g_end = g0
+        else:
+            y0 = u[i]
+            u_end = u[i + 1]
+            u_mid = y0 + 0.5 * (u_end - y0) + eighth * (du[i] - du[i + 1])
+            g_mid = -lam * tanh(0.5 * u_mid)
+            g_end = -lam * tanh(0.5 * u_end)
+        x = u[k]
+        k1 = du[k]
+        k2 = g_mid - mu * (x + half * k1)
+        k3 = g_mid - mu * (x + half * k2)
+        k4 = g_end - mu * (x + h * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not isfinite(x):
+            raise _failure(k, h)
+        u.append(x)
+        du.append(g_end - mu * x)
+    return u
+
+
+def _difference_ode(params: ModelParams, u0: float, h: float, n: int) -> list[float]:
+    lam, mu = params.lam, params.mu
+    tanh, isfinite = math.tanh, math.isfinite
+    half, sixth = 0.5 * h, h / 6.0
+    x = u0
+    k1 = -lam * tanh(0.5 * x) - mu * x
+    u = [x]
+    for k in range(n):
+        s = x + half * k1
+        k2 = -lam * tanh(0.5 * s) - mu * s
+        s = x + half * k2
+        k3 = -lam * tanh(0.5 * s) - mu * s
+        s = x + h * k3
+        k4 = -lam * tanh(0.5 * s) - mu * s
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not isfinite(x):
+            raise _failure(k, h)
+        u.append(x)
+        k1 = -lam * tanh(0.5 * x) - mu * x
+    return u
+
+
+def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
+                   n: int) -> list[float]:
+    lam, mu, inv = params.lam, params.mu, 1.0 / params.delta
+    tanh, isfinite = math.tanh, math.isfinite
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    # the window averages start at the constant history, so v(0) = u(0)
+    v = u0
+    dv = 0.0
+    u = [u0]
+    du = [-lam * tanh(0.5 * v) - mu * u0]
+    for k in range(n):
+        i = k - m
+        if i < 0:
+            u_mid = u_end = u0
+        else:
+            y0 = u[i]
+            u_end = u[i + 1]
+            u_mid = y0 + 0.5 * (u_end - y0) + eighth * (du[i] - du[i + 1])
+        x = u[k]
+        k1, l1 = du[k], dv
+        s, sv = x + half * k1, v + half * l1
+        k2, l2 = -lam * tanh(0.5 * sv) - mu * s, (s - u_mid) * inv
+        s, sv = x + half * k2, v + half * l2
+        k3, l3 = -lam * tanh(0.5 * sv) - mu * s, (s - u_mid) * inv
+        s, sv = x + h * k3, v + h * l3
+        k4, l4 = -lam * tanh(0.5 * sv) - mu * s, (s - u_end) * inv
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        v = v + sixth * (l1 + 2.0 * (l2 + l3) + l4)
+        if not (isfinite(x) and isfinite(v)):
+            raise _failure(k, h)
+        u.append(x)
+        du.append(-lam * tanh(0.5 * v) - mu * x)
+        dv = (x - u_end) * inv
+    return u
 
 
 def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:

@@ -211,12 +211,18 @@ def _residual_and_derivative(model: str, lam: float, mu: float, delta: float):
 
 
 def root_track(model: str, lam: float, mu: float, delta: float,
-               seed: complex, tol: float = 1e-12, max_iter: int = 100) -> complex:
+               seed: complex, tol: float | None = None, max_iter: int = 100) -> complex:
     """Newton iteration on the characteristic residual from a seed root.
 
     Seeding with i*omega of a nearby Hopf point tracks the critical pair as
     the delay moves off the threshold, giving a numerical oracle for the
     crossing direction.  The residual derivative is analytic.
+
+    ``tol`` bounds |residual| absolutely.  By default it is
+    ``max(1e-12, 1e-13 * scale)`` with ``scale`` the size of the residual's
+    largest terms, ``lam + mu`` (constant model) or ``lam / delta + mu^2``
+    (moving-average model): at lam / delta ~ 1e5 the moving-average residual
+    cannot be evaluated to an absolute 1e-12.
 
     Raises
     ------
@@ -226,6 +232,9 @@ def root_track(model: str, lam: float, mu: float, delta: float,
     """
     _validate_rates(lam, mu)
     res, dres, _ = _residual_and_derivative(model, lam, mu, delta)
+    if tol is None:
+        scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
+        tol = max(1e-12, 1e-13 * scale)
     r = complex(seed)
     if not (math.isfinite(r.real) and math.isfinite(r.imag)):
         raise ValueError("seed must be finite")

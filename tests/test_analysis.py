@@ -12,6 +12,7 @@ from qdelay import (
     Trajectory,
     analysis,
     critical_delay_constant,
+    equilibrium,
     simulate,
 )
 from qdelay.analysis import (
@@ -216,6 +217,26 @@ class TestSweep:
         assert rows[0].error is not None
         assert math.isnan(rows[0].amplitude)
         assert rows[1].observed == SYNCHRONIZED
+
+    def test_rows_match_full_state_classification(self):
+        # sweep integrates only q1 - q2; classifying the full-state run of
+        # each cell must rebuild its row
+        for model, lam, deltas in ((CONSTANT, 10.0, [0.3, 0.45]),
+                                   (CONSTANT, 1.5, [0.5]),
+                                   (MOVING_AVERAGE, 10.0, [1.5, 3.0])):
+            threshold = analysis.analytic_threshold(model, lam, 1.0)
+            for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
+                p = ModelParams(lam, 1.0, row.delta)
+                v = classify_stability(simulate(model, p, 60.0), 0.5,
+                                       *default_thresholds(p))
+                if threshold is None:
+                    predicted = NOT_APPLICABLE
+                else:
+                    predicted = OSCILLATORY if row.delta >= threshold else SYNCHRONIZED
+                assert (row.predicted, row.observed, row.growing) == \
+                    (predicted, v.classification, v.growing)
+                assert row.agree == (predicted in (NOT_APPLICABLE, v.classification))
+                assert abs(row.amplitude - v.amplitude) <= 1e-12 * equilibrium(p)
 
     def test_rows_follow_grid_order(self):
         rows = sweep(CONSTANT, 1.0, [5.0, 10.0], [0.1, 0.2])

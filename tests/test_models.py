@@ -2,6 +2,7 @@
 histories, conservation, symmetry, and window-average quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qdelay import (
     MOVING_AVERAGE,
     HistoryFunction,
     ModelParams,
+    NumericalFailureError,
     Trajectory,
     analysis,
     constant_delay_history,
@@ -22,6 +24,7 @@ from qdelay import (
     mnl_weights,
     models,
     simulate,
+    simulate_difference,
 )
 
 RNG = np.random.default_rng(20240311)
@@ -264,3 +267,64 @@ class TestDefaultStep:
         assert models.default_step(ModelParams(10.0, 1.0, 0.02)) == pytest.approx(0.001)
         assert models.default_step(ModelParams(10.0, 50.0, 10.0)) == pytest.approx(0.002)
         assert models.default_step(ModelParams(10.0, 1.0, 0.0)) == pytest.approx(0.01)
+
+
+class TestSimulateDifference:
+    """The difference-mode kernel against q1 - q2 of the full-state integrator."""
+
+    @pytest.mark.parametrize("model,lam,mu,delta,horizon,step", [
+        (CONSTANT, 10.0, 1.0, 0.34, 100.0, None),        # synchronized
+        (CONSTANT, 10.0, 1.0, 0.40, 100.0, None),        # oscillatory
+        (CONSTANT, 10.0, 1.0, 0.0, 50.0, None),          # ODE
+        (CONSTANT, 10.0, 1.0, 0.4, 30.0, 0.03),          # h = 0.4 / 14
+        (CONSTANT, 400.0, 20.0, 0.05, 0.06, None),       # lag reads the history
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 100.0, None),   # synchronized
+        (MOVING_AVERAGE, 10.0, 1.0, 2.3, 100.0, None),   # oscillatory
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 40.0, 0.07),    # h = 2 / 29
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 2.5, None),     # lag reads the history
+    ])
+    def test_matches_full_state_difference(self, model, lam, mu, delta, horizon, step):
+        p = ModelParams(lam, mu, delta)
+        traj = simulate(model, p, horizon, step=step)
+        times, u = simulate_difference(model, p, horizon, step=step)
+        np.testing.assert_array_equal(times, traj.times)
+        diff = traj.states[:, 0] - traj.states[:, 1]
+        assert np.max(np.abs(u - diff)) <= 1e-12 * equilibrium(p)
+
+    def test_swapping_histories_negates_exactly(self):
+        for model, delta in ((CONSTANT, 0.4), (CONSTANT, 0.0), (MOVING_AVERAGE, 2.0)):
+            p = ModelParams(10.0, 1.0, delta)
+            _, a = simulate_difference(model, p, 50.0, phi1=5.5, phi2=4.5)
+            _, b = simulate_difference(model, p, 50.0, phi1=4.5, phi2=5.5)
+            np.testing.assert_array_equal(b, -a)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
+    def test_non_finite_state_fails_where_the_integrator_does(self):
+        # mu h = 50 is far outside the RK4 stability region
+        for model, delta in ((CONSTANT, 2.0), (MOVING_AVERAGE, 2.0)):
+            p = ModelParams(10.0, 50.0, delta)
+            with pytest.raises(NumericalFailureError) as full:
+                simulate(model, p, 1000.0, step=1.0)
+            with pytest.raises(NumericalFailureError) as kernel:
+                simulate_difference(model, p, 1000.0, step=1.0)
+            assert kernel.value.time == full.value.time
+        with pytest.raises(NumericalFailureError):
+            simulate_difference(CONSTANT, ModelParams(10.0, 50.0, 0.0), 1000.0,
+                                step=1.0)
+
+    def test_rejected_inputs(self):
+        p = ModelParams(10.0, 1.0, 0.0)
+        with pytest.raises(ValueError) as expected:
+            models.ma_system(p)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            simulate_difference(MOVING_AVERAGE, p, 1.0)
+        p = ModelParams(10.0, 1.0, 2.0)
+        table = (np.linspace(-2.0, 0.0, 5), np.full(5, 6.0))
+        with pytest.raises(ValueError):
+            simulate_difference(MOVING_AVERAGE, p, 10.0, phi1=table, phi2=4.0)
+        with pytest.raises(ValueError):
+            simulate_difference(CONSTANT, p, 10.0, phi1=np.array([5.5]), phi2=4.5)
+        with pytest.raises(ValueError):
+            simulate_difference("other", p, 10.0)
+        with pytest.raises(ValueError):
+            simulate_difference(CONSTANT, p, 0.0)

@@ -274,13 +274,19 @@ class TestRootTrack:
 
     def test_ma_first_branch_crosses_left_to_right(self):
         # numerical arbiter for the crossing direction at the smallest branch:
-        # the pair sits left of the axis below the threshold and right above it
-        point = critical_delay_ma(10.0, 1.0)[0]
-        below = root_track(MOVING_AVERAGE, 10.0, 1.0, point.delta_cr - 1e-3,
-                           1j * point.omega)
-        above = root_track(MOVING_AVERAGE, 10.0, 1.0, point.delta_cr + 1e-3,
-                           1j * point.omega)
-        assert below.real < 0.0 < above.real
+        # the pair sits left of the axis below the threshold and right above it.
+        # At lam / delta ~ 1e5 the default tolerance must scale with the
+        # residual's terms for Newton to converge at all
+        for lam, mu in ((10.0, 1.0), (1000.0, 1.0), (400.0, 2.0)):
+            point = critical_delay_ma(lam, mu)[0]
+            rate = crossing_rate(MOVING_AVERAGE, lam, mu, point.delta_cr,
+                                 1j * point.omega)
+            below = root_track(MOVING_AVERAGE, lam, mu, point.delta_cr * (1.0 - 1e-3),
+                               1j * point.omega)
+            above = root_track(MOVING_AVERAGE, lam, mu, point.delta_cr * (1.0 + 1e-3),
+                               1j * point.omega)
+            assert rate.real > 0.0
+            assert below.real < 0.0 < above.real
 
     def test_errors(self):
         with pytest.raises(ValueError):
