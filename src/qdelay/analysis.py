@@ -250,23 +250,24 @@ def _default_horizon(mu: float, delta: float) -> float:
     return max(200.0 / mu, 50.0 * delta)
 
 
-def _observe(model: str, params: models.ModelParams, horizon: float | None,
-             step: float | None, phi1, phi2,
-             burn_in_fraction: float) -> StabilityVerdict:
-    """Integrate the difference mode of one scenario and classify it against
-    the default thresholds; the horizon defaults to ``_default_horizon``."""
+# bisection steps of locate_transition; burn-in of every simulated verdict
+_BISECTION_STEPS = 10
+_BURN_IN_FRACTION = 0.5
+
+
+def _observe(model: str, params: models.ModelParams,
+             horizon: float | None) -> StabilityVerdict:
+    """Integrate the difference mode of one scenario from the default history
+    and classify it; the horizon defaults to ``_default_horizon``."""
     if horizon is None:
         horizon = _default_horizon(params.mu, params.delta)
-    times, diff = models.simulate_difference(model, params, horizon, step=step,
-                                             phi1=phi1, phi2=phi2)
-    return classify_difference(times, diff, burn_in_fraction,
+    times, diff = models.simulate_difference(model, params, horizon)
+    return classify_difference(times, diff, _BURN_IN_FRACTION,
                                *default_thresholds(params))
 
 
-def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
-          step: float | None = None, phi1: float | None = None,
-          phi2: float | None = None,
-          burn_in_fraction: float = 0.5) -> list[SweepRow]:
+def sweep(model: str, mu: float, lambdas, deltas,
+          horizon: float | None = None) -> list[SweepRow]:
     """Integrate the difference mode of every (lam, delta) cell, classify it
     and confront it with the analytic Hopf crossings.
 
@@ -277,8 +278,8 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
     Rows are produced in grid order (lambdas outer, deltas inner) and are
     independent of each other; integration failures are recorded per row
     rather than aborting the sweep.  ``agree`` is True when the observed
-    verdict matches the prediction or no prediction exists.  Cells are
-    integrated by ``models.simulate_difference``, so histories are constants.
+    verdict matches the prediction or no prediction exists.  Every cell runs
+    from the default history and step, and is classified on its second half.
     """
     rows: list[SweepRow] = []
     for lam in lambdas:
@@ -295,8 +296,7 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
                 predicted = SYNCHRONIZED
             try:
                 params = models.ModelParams(lam=lam, mu=mu, delta=delta)
-                verdict = _observe(model, params, horizon, step, phi1, phi2,
-                                   burn_in_fraction)
+                verdict = _observe(model, params, horizon)
             except (NumericalFailureError, ValueError) as exc:
                 rows.append(SweepRow(lam=lam, mu=mu, delta=delta,
                                      predicted=predicted, observed=FAILED,
@@ -312,30 +312,25 @@ def sweep(model: str, mu: float, lambdas, deltas, horizon: float | None = None,
 
 
 def locate_transition(model: str, lam: float, mu: float, delta_lo: float,
-                      delta_hi: float, n_iter: int = 12,
-                      horizon: float | None = None,
-                      burn_in_fraction: float = 0.5,
-                      phi1: float | None = None,
-                      phi2: float | None = None) -> float:
+                      delta_hi: float) -> float:
     """Bisect on the delay for the simulated synchronized/oscillatory flip,
-    classifying the difference mode as ``sweep`` does.
+    classifying the difference mode as ``sweep`` does at its default horizon.
 
     ``delta_lo`` must classify synchronized and ``delta_hi`` must not; the
-    returned midpoint estimates the simulated stability boundary, which can
-    be confronted with the analytic critical delay.
+    midpoint after 10 halvings estimates the simulated stability boundary,
+    which can be confronted with the analytic critical delay.
     """
 
     def observed(delta: float) -> str:
         params = models.ModelParams(lam=lam, mu=mu, delta=delta)
-        return _observe(model, params, horizon, None, phi1, phi2,
-                        burn_in_fraction).classification
+        return _observe(model, params, None).classification
 
     if observed(delta_lo) != SYNCHRONIZED:
         raise ValueError("delta_lo does not classify as synchronized")
     if observed(delta_hi) == SYNCHRONIZED:
         raise ValueError("delta_hi classifies as synchronized")
     lo, hi = float(delta_lo), float(delta_hi)
-    for _ in range(n_iter):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if observed(mid) == SYNCHRONIZED:
             lo = mid

@@ -305,8 +305,7 @@ def _verify_checks():
     def threshold_vs_simulation():
         point = stability.critical_delay_constant(10.0, 1.0)
         flip = analysis.locate_transition(models.CONSTANT, 10.0, 1.0,
-                                          0.5 * point.delta_cr, 1.5 * point.delta_cr,
-                                          n_iter=10)
+                                          0.5 * point.delta_cr, 1.5 * point.delta_cr)
         rel = abs(flip - point.delta_cr) / point.delta_cr
         return rel < 0.05, f"simulated flip {flip:.4f} vs analytic " \
                            f"{point.delta_cr:.4f} ({100 * rel:.1f}%)"

@@ -41,49 +41,27 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(eq=False)
 class HistoryFunction:
-    """Initial condition phi on [-delta, 0].
+    """Constant initial condition phi on [-delta, 0], one value per component.
 
-    Either constant per component (``times is None``) or a sampled table
-    with strictly increasing sample times spanning exactly [-delta, 0],
-    evaluated by linear interpolation.  Evaluation at t = 0 supplies the
-    integrator's initial state.
+    Evaluation anywhere on the interval returns ``values``; evaluation at
+    t = 0 supplies the integrator's initial state.
     """
 
     delta: float
     values: np.ndarray
-    times: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("history values must be finite")
-        if self.times is None:
-            if not (math.isfinite(self.delta) and self.delta >= 0.0):
-                raise ValueError("history delta must be finite and >= 0")
-            if self.values.ndim != 1 or self.values.size == 0:
-                raise ValueError("constant history needs a 1-d value vector")
-        else:
-            self.times = np.asarray(self.times, dtype=float)
-            if self.times.ndim != 1 or self.times.size < 2:
-                raise ValueError("sampled history needs at least two sample times")
-            if np.any(np.diff(self.times) <= 0.0):
-                raise ValueError("history sample times must be strictly increasing")
-            if self.times[-1] != 0.0 or self.times[0] >= 0.0:
-                raise ValueError("history sample times must span exactly [-delta, 0]")
-            if self.values.ndim != 2 or self.values.shape[0] != self.times.size:
-                raise ValueError("history table needs one value row per sample time")
-            self.delta = float(-self.times[0])
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError("history delta must be finite and >= 0")
+        if self.values.ndim != 1 or self.values.size == 0:
+            raise ValueError("constant history needs a 1-d value vector")
 
     @classmethod
     def constant(cls, values, delta: float) -> "HistoryFunction":
         return cls(delta=float(delta), values=np.asarray(values, dtype=float))
-
-    @classmethod
-    def from_samples(cls, times, values) -> "HistoryFunction":
-        """Build a linearly interpolated history from a (times, values) table."""
-        times = np.asarray(times, dtype=float)
-        return cls(delta=float(-times[0]), values=np.asarray(values, dtype=float),
-                   times=times)
 
     @property
     def dimension(self) -> int:
@@ -97,14 +75,7 @@ class HistoryFunction:
         if np.any(tt < -self.delta - tol) or np.any(tt > tol):
             raise ValueError(
                 f"history evaluated outside [{-self.delta:g}, 0]")
-        if self.times is None:
-            out = np.broadcast_to(self.values, (tt.size, self.dimension)).copy()
-        else:
-            tc = np.clip(tt, self.times[0], 0.0)
-            out = np.stack(
-                [np.interp(tc, self.times, self.values[:, j])
-                 for j in range(self.dimension)], axis=1)
-        return out[0] if scalar else out
+        return self.values.copy() if scalar else np.tile(self.values, (tt.size, 1))
 
 
 @dataclass(frozen=True)
@@ -262,7 +233,7 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     ValueError
         Mismatched lag/dimension or invalid configuration.
     NumericalFailureError
-        A non-finite state was produced; carries the failing time.
+        A node, or at lag 0 a stage, went non-finite; carries the failing time.
     """
     if history.delta != system.lag:
         raise ValueError(
@@ -300,30 +271,40 @@ def integrate(system: DdeSystem, history: HistoryFunction,
 
     half = 0.5 * h
     sixth = h / 6.0
-    for k in range(n):
-        t = k * h
-        t1 = (k + 1) * h
-        x = states[k]
-        k1 = derivs[k]
-        if ode:
-            s = x + half * k1
-            k2 = rhs(t + half, s, s)
-            s = x + half * k2
-            k3 = rhs(t + half, s, s)
-            s = x + h * k3
-            k4 = rhs(t1, s, s)
-        else:
-            xm = mid_lag(k)
-            xe = node_lag(k + 1)
-            k2 = rhs(t + half, x + half * k1, xm)
-            k3 = rhs(t + half, x + half * k2, xm)
-            k4 = rhs(t1, x + h * k3, xe)
-        xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(xn).all():
-            raise NumericalFailureError("integration produced a non-finite state", t1)
-        states[k + 1] = xn
-        if ode:
-            derivs[k + 1] = rhs(t1, xn, xn)
-        else:
-            derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
+    # an overflow is reported as a NumericalFailureError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(n):
+                t = k * h
+                t1 = (k + 1) * h
+                x = states[k]
+                k1 = derivs[k]
+                if ode:
+                    s = x + half * k1
+                    k2 = rhs(t + half, s, s)
+                    s = x + half * k2
+                    k3 = rhs(t + half, s, s)
+                    s = x + h * k3
+                    k4 = rhs(t1, s, s)
+                else:
+                    xm = mid_lag(k)
+                    xe = node_lag(k + 1)
+                    k2 = rhs(t + half, x + half * k1, xm)
+                    k3 = rhs(t + half, x + half * k2, xm)
+                    k4 = rhs(t1, x + h * k3, xe)
+                xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                if not np.isfinite(xn).all():
+                    raise NumericalFailureError("integration produced a non-finite state", t1)
+                states[k + 1] = xn
+                if ode:
+                    derivs[k + 1] = rhs(t1, xn, xn)
+                else:
+                    derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
+        except ValueError:
+            # at lag 0 the rhs also reads the stage state as its lagged value
+            # and may reject one that overflowed within step k
+            if ode and not np.isfinite(s).all():
+                raise NumericalFailureError("integration produced a non-finite state",
+                                            (k + 1) * h) from None
+            raise
     return Trajectory(step=h, states=states, derivs=derivs, history=history)

@@ -21,6 +21,7 @@ and the difference mode ``u = q1 - q2`` obeys an equation of its own, which
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,64 +142,31 @@ def ma_system(params: ModelParams) -> DdeSystem:
         rhs=lambda t, x, xl: ma_rhs(t, x, xl, params))
 
 
-def _default_offsets(params: ModelParams) -> tuple[float, float]:
+def _history_constants(params: ModelParams, phi1, phi2) -> tuple[float, float]:
     # +-10% of the equilibrium keeps q1 + q2 at its fixed point initially
     q = equilibrium(params)
-    return 1.1 * q, 0.9 * q
-
-
-def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(times)))
+    phi1 = 1.1 * q if phi1 is None else phi1
+    phi2 = 0.9 * q if phi2 is None else phi2
+    for phi in (phi1, phi2):
+        if not (isinstance(phi, numbers.Real) and math.isfinite(phi)):
+            raise ValueError("histories phi1, phi2 must be finite real constants")
+    return float(phi1), float(phi2)
 
 
 def constant_delay_history(params: ModelParams, phi1: float | None = None,
                            phi2: float | None = None) -> HistoryFunction:
     """Constant two-component history; defaults to equilibrium +-10%."""
-    d1, d2 = _default_offsets(params)
-    p1 = d1 if phi1 is None else float(phi1)
-    p2 = d2 if phi2 is None else float(phi2)
-    return HistoryFunction.constant([p1, p2], params.delta)
+    return HistoryFunction.constant(_history_constants(params, phi1, phi2), params.delta)
 
 
-def ma_history(params: ModelParams, phi1=None, phi2=None) -> HistoryFunction:
-    """Four-component history for the moving-average model.
-
-    ``phi1`` / ``phi2`` may be constants or ``(times, values)`` sample
-    tables on [-delta, 0].  The auxiliary states start at the window
-    average of the corresponding history, computed by trapezoid quadrature
-    (for a constant history that is the constant itself); they are held at
-    that value across the history interval.
-    """
+def ma_history(params: ModelParams, phi1: float | None = None,
+               phi2: float | None = None) -> HistoryFunction:
+    """Constant four-component history for the moving-average model: the
+    window averages of constant queue histories are the constants themselves."""
     if params.delta <= 0.0:
-        raise ValueError("the moving-average model needs delta > 0")
-    d1, d2 = _default_offsets(params)
-    phi1 = d1 if phi1 is None else phi1
-    phi2 = d2 if phi2 is None else phi2
-    if np.isscalar(phi1) and np.isscalar(phi2):
-        p1 = float(phi1)
-        p2 = float(phi2)
-        return HistoryFunction.constant([p1, p2, p1, p2], params.delta)
-    grid = np.array([-params.delta, 0.0])
-    columns = []
-    for phi in (phi1, phi2):
-        if np.isscalar(phi):
-            columns.append((grid, np.full(grid.size, float(phi))))
-        else:
-            times = np.asarray(phi[0], dtype=float)
-            values = np.asarray(phi[1], dtype=float)
-            columns.append((times, values))
-            grid = np.union1d(grid, times)
-    sampled = []
-    averages = []
-    for times, values in columns:
-        on_grid = np.interp(grid, times, values)
-        sampled.append(on_grid)
-        averages.append(_trapezoid(on_grid, grid) / params.delta)
-    table = np.column_stack([
-        sampled[0], sampled[1],
-        np.full(grid.size, averages[0]), np.full(grid.size, averages[1]),
-    ])
-    return HistoryFunction.from_samples(grid, table)
+        raise ValueError(_NEEDS_WINDOW)
+    p1, p2 = _history_constants(params, phi1, phi2)
+    return HistoryFunction.constant([p1, p2, p1, p2], params.delta)
 
 
 def default_step(params: ModelParams) -> float:
@@ -210,7 +178,8 @@ def default_step(params: ModelParams) -> float:
 
 
 def simulate(model: str, params: ModelParams, horizon: float,
-             step: float | None = None, phi1=None, phi2=None) -> Trajectory:
+             step: float | None = None, phi1: float | None = None,
+             phi2: float | None = None) -> Trajectory:
     """Integrate one scenario of either model.
 
     Parameters
@@ -223,9 +192,9 @@ def simulate(model: str, params: ModelParams, horizon: float,
         Integration horizon T.
     step : float, optional
         Requested step; defaults to ``default_step(params)``.
-    phi1, phi2 : optional
-        Initial histories for the two queues (constants, or sample tables
-        for the moving-average model); default to equilibrium +-10%.
+    phi1, phi2 : float, optional
+        Constant initial histories of the two queues; default to
+        equilibrium +-10%.
     """
     if model == CONSTANT:
         system = constant_delay_system(params)
@@ -241,8 +210,8 @@ def simulate(model: str, params: ModelParams, horizon: float,
 
 
 def simulate_difference(model: str, params: ModelParams, horizon: float,
-                        step: float | None = None, phi1=None,
-                        phi2=None) -> tuple[np.ndarray, np.ndarray]:
+                        step: float | None = None, phi1: float | None = None,
+                        phi2: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate only the difference mode u = q1 - q2 of one scenario.
 
     With ``g(x) = -lam tanh(x / 2)`` the difference obeys
@@ -256,7 +225,7 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
     Hermite midpoint for the lagged value) run on floats, so ``u`` equals
     ``states[:, 0] - states[:, 1]`` of the same ``simulate`` call up to
     rounding, on identical node times.  Arguments are those of
-    ``simulate``, except that the histories must be constants.
+    ``simulate``, which accepts and rejects the same histories.
 
     Returns
     -------
@@ -267,12 +236,8 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
         raise ValueError(f"unknown model kind: {model!r}")
     if model == MOVING_AVERAGE and params.delta <= 0.0:
         raise ValueError(_NEEDS_WINDOW)
-    d1, d2 = _default_offsets(params)
-    phi1 = d1 if phi1 is None else phi1
-    phi2 = d2 if phi2 is None else phi2
-    if not (np.isscalar(phi1) and np.isscalar(phi2)):
-        raise ValueError("simulate_difference needs constant histories phi1, phi2")
-    u0 = float(phi1) - float(phi2)
+    p1, p2 = _history_constants(params, phi1, phi2)
+    u0 = p1 - p2
     h = default_step(params) if step is None else float(step)
     m, h, n = lag_grid(params.delta, IntegrationConfig(step=h, horizon=horizon))
     if model == MOVING_AVERAGE:

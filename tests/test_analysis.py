@@ -249,8 +249,7 @@ class TestLocateTransition:
     def test_simulated_flip_within_five_percent_of_analytic(self, lam, mu):
         point = critical_delay_constant(lam, mu)
         flip = locate_transition(CONSTANT, lam, mu,
-                                 0.5 * point.delta_cr, 1.5 * point.delta_cr,
-                                 n_iter=10)
+                                 0.5 * point.delta_cr, 1.5 * point.delta_cr)
         assert abs(flip - point.delta_cr) / point.delta_cr < 0.05
 
     def test_rejects_bad_bracket(self):

@@ -153,6 +153,14 @@ class TestExitCodes:
         assert run(["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
                     "--delta", "0.4", "--horizon", "1", "--out", str(missing)]) == 2
 
+    def test_stage_overflow_at_zero_delta_is_exit_two(self, tmp_path, capsys):
+        # mu h = 50 blows up; at delta = 0 a stage overflows before a node does
+        assert run(["simulate", "--model", "constant", "--lambda", "10", "--mu", "50",
+                    "--delta", "0", "--step", "1", "--horizon", "1000",
+                    "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "numerical failure: integration produced a non-finite state (t = 58)\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out

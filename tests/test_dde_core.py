@@ -17,6 +17,7 @@ from qdelay import (
     integrate,
     models,
 )
+from qdelay.dde import lag_grid
 
 
 def _constant_scenario(lam=10.0, mu=1.0, delta=0.4, phi=(5.5, 4.5)):
@@ -33,14 +34,6 @@ class TestHistoryFunction:
         np.testing.assert_array_equal(hist(0.0), [5.0, 4.0])
         assert hist.dimension == 2
 
-    def test_table_linear_interpolation(self):
-        times = np.array([-1.0, -0.5, 0.0])
-        values = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
-        hist = HistoryFunction.from_samples(times, values)
-        assert hist.delta == 1.0
-        np.testing.assert_allclose(hist(-0.75), [0.5, 1.5], rtol=1e-15)
-        np.testing.assert_array_equal(hist(0.0), [2.0, 0.0])
-
     def test_array_evaluation(self):
         hist = HistoryFunction.constant([3.0], 1.0)
         out = hist(np.array([-1.0, -0.5, 0.0]))
@@ -54,13 +47,30 @@ class TestHistoryFunction:
         with pytest.raises(ValueError):
             hist(0.1)
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError):  # not strictly increasing
-            HistoryFunction.from_samples([-1.0, -1.0, 0.0], np.zeros((3, 1)))
-        with pytest.raises(ValueError):  # does not end at 0
-            HistoryFunction.from_samples([-1.0, -0.5], np.zeros((2, 1)))
+    def test_validation(self):
         with pytest.raises(ValueError):  # non-finite values
             HistoryFunction.constant([np.inf], 1.0)
+        with pytest.raises(ValueError):  # negative delta
+            HistoryFunction.constant([1.0], -0.5)
+        with pytest.raises(ValueError):  # no components
+            HistoryFunction.constant([], 1.0)
+        with pytest.raises(ValueError):  # not a constant per component
+            HistoryFunction.constant(np.zeros((2, 1)), 1.0)
+
+
+class TestLagGrid:
+    @pytest.mark.parametrize("lag,step,horizon,expected", [
+        (0.4, 0.1, 1.0, (4, 0.1, 10)),          # the step divides the lag
+        (0.4, 0.03, 1.0, (14, 0.4 / 14, 35)),   # shrunk to lag / ceil(lag / step)
+        (0.07, 0.01, 1.0, (7, 0.01, 100)),      # 0.07 / 0.01 rounds up past 7
+        (0.4, 1.0, 2.0, (1, 0.4, 5)),           # a step above the lag
+        (0.0, 0.05, 1.0, (0, 0.05, 20)),        # lag 0: the requested step
+        (0.0, 0.01, 7.0, (0, 0.01, 700)),
+        (0.0, 0.1, 0.3, (0, 0.1, 3)),           # 0.3 / 0.1 rounds down past 3
+    ])
+    def test_grid(self, lag, step, horizon, expected):
+        m, h, n = lag_grid(lag, IntegrationConfig(step=step, horizon=horizon))
+        assert (m, h, n) == expected
 
 
 class TestIntegrate:

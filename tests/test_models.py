@@ -164,20 +164,6 @@ class TestHistories:
         np.testing.assert_array_equal(hist(0.0), [6.0, 4.0, 6.0, 4.0])
         np.testing.assert_array_equal(hist(-2.0), [6.0, 4.0, 6.0, 4.0])
 
-    def test_ma_sampled_history_window_average(self):
-        # linear history a + b t has window average a - b delta / 2 at t = 0
-        p = ModelParams(10.0, 1.0, 2.0)
-        times = np.linspace(-2.0, 0.0, 21)
-        phi1 = 6.0 + 0.5 * times
-        hist = ma_history(p, (times, phi1), 4.0)
-        x0 = hist(0.0)
-        assert x0[0] == pytest.approx(6.0, abs=1e-12)
-        assert x0[1] == pytest.approx(4.0, abs=1e-12)
-        assert x0[2] == pytest.approx(6.0 - 0.5 * 2.0 / 2.0, abs=1e-12)
-        assert x0[3] == pytest.approx(4.0, abs=1e-12)
-        # sampled part still interpolates linearly
-        assert hist(-1.0)[0] == pytest.approx(5.5, abs=1e-12)
-
 
 class TestConservation:
     """q1 + q2 follows s' = lam - mu s exactly in both models."""
@@ -300,17 +286,15 @@ class TestSimulateDifference:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
     def test_non_finite_state_fails_where_the_integrator_does(self):
-        # mu h = 50 is far outside the RK4 stability region
-        for model, delta in ((CONSTANT, 2.0), (MOVING_AVERAGE, 2.0)):
+        # mu h = 50 is far outside the RK4 stability region; at delta = 0 a
+        # stage overflows before a node does
+        for model, delta in ((CONSTANT, 2.0), (MOVING_AVERAGE, 2.0), (CONSTANT, 0.0)):
             p = ModelParams(10.0, 50.0, delta)
             with pytest.raises(NumericalFailureError) as full:
                 simulate(model, p, 1000.0, step=1.0)
             with pytest.raises(NumericalFailureError) as kernel:
                 simulate_difference(model, p, 1000.0, step=1.0)
             assert kernel.value.time == full.value.time
-        with pytest.raises(NumericalFailureError):
-            simulate_difference(CONSTANT, ModelParams(10.0, 50.0, 0.0), 1000.0,
-                                step=1.0)
 
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)
@@ -319,12 +303,22 @@ class TestSimulateDifference:
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             simulate_difference(MOVING_AVERAGE, p, 1.0)
         p = ModelParams(10.0, 1.0, 2.0)
-        table = (np.linspace(-2.0, 0.0, 5), np.full(5, 6.0))
-        with pytest.raises(ValueError):
-            simulate_difference(MOVING_AVERAGE, p, 10.0, phi1=table, phi2=4.0)
-        with pytest.raises(ValueError):
-            simulate_difference(CONSTANT, p, 10.0, phi1=np.array([5.5]), phi2=4.5)
         with pytest.raises(ValueError):
             simulate_difference("other", p, 10.0)
         with pytest.raises(ValueError):
             simulate_difference(CONSTANT, p, 0.0)
+
+    @pytest.mark.parametrize("model", [CONSTANT, MOVING_AVERAGE])
+    def test_both_paths_take_the_same_histories(self, model):
+        p = ModelParams(10.0, 1.0, 2.0)
+        rejected = [(np.linspace(-2.0, 0.0, 5), np.full(5, 6.0)),  # a sample table
+                    np.array([5.5]), math.inf]
+        messages = set()
+        for run in (simulate, simulate_difference):
+            run(model, p, 10.0)
+            run(model, p, 10.0, phi1=6.0, phi2=4.5)
+            for phi in rejected:
+                with pytest.raises(ValueError) as info:
+                    run(model, p, 10.0, phi1=phi, phi2=4.5)
+                messages.add(str(info.value))
+        assert len(messages) == 1
