@@ -46,6 +46,7 @@ from .models import (
     mnl_weights,
     simulate,
     simulate_difference,
+    simulate_reference,
 )
 from .stability import (
     ConvergenceError,

@@ -46,22 +46,40 @@ def _open_out(path: str | None):
     return open(path, "w", newline="\n"), True
 
 
-def _write_rows(header: str, rows, path: str | None) -> None:
+def _write_lines(header: str, blocks, path: str | None) -> None:
     stream, owned = _open_out(path)
     try:
         stream.write(header + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            stream.write(block)
     finally:
         if owned:
             stream.close()
+
+
+def _write_rows(header: str, rows, path: str | None) -> None:
+    _write_lines(header, (",".join(_fmt(v) for v in row) + "\n" for row in rows), path)
+
+
+# rows formatted per write_trajectory_csv block; bounds the text held at once
+_CSV_CHUNK_ROWS = 1024
+
+
+def _trajectory_blocks(traj: Trajectory):
+    # "%.9g" of a Python float is the text _fmt gives it
+    row = ",".join(["%.9g"] * (traj.dimension + 1)) + "\n"
+    for start in range(0, traj.times.size, _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        chunk = np.column_stack((traj.times[start:stop], traj.states[start:stop]))
+        yield (row * chunk.shape[0]) % tuple(chunk.ravel().tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, model: str, path: str | None) -> None:
     """Write one row per node with 9-significant-digit values.
 
     Columns are ``t,q1,q2`` for the constant-delay model and
-    ``t,q1,q2,m1,m2`` for the moving-average model.
+    ``t,q1,q2,m1,m2`` for the moving-average model.  Rows are formatted
+    and written in blocks of ``_CSV_CHUNK_ROWS``.
     """
     if model == models.CONSTANT:
         header = "t,q1,q2"
@@ -74,8 +92,7 @@ def write_trajectory_csv(traj: Trajectory, model: str, path: str | None) -> None
     if traj.dimension != expected:
         raise ValueError(f"trajectory dimension {traj.dimension} does not match "
                          f"model {model!r}")
-    rows = ((t, *state) for t, state in zip(traj.times, traj.states))
-    _write_rows(header, rows, path)
+    _write_lines(header, _trajectory_blocks(traj), path)
 
 
 def write_hopf_curve_csv(points, path: str | None) -> None:
@@ -217,30 +234,35 @@ def _verify_checks():
 
     def equilibrium_fixed_point():
         q = models.equilibrium(p_fig)
-        traj = models.simulate(models.CONSTANT, p_fig, horizon=20.0, phi1=q, phi2=q)
+        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=20.0,
+                                          phi1=q, phi2=q)
         dev = float(np.max(np.abs(traj.states - q)))
         return dev <= 1e-12, f"max deviation from equilibrium = {dev:.2e}"
 
     def conservation_constant():
-        traj = models.simulate(models.CONSTANT, p_fig, horizon=100.0, phi1=5.5, phi2=4.5)
+        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=100.0,
+                                          phi1=5.5, phi2=4.5)
         dev = analysis.conservation_check(traj, p_fig)
         return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
 
     def conservation_ma():
         params = models.ModelParams(lam=10.0, mu=1.0, delta=4.0)
-        traj = models.simulate(models.MOVING_AVERAGE, params, horizon=100.0,
-                               phi1=6.0, phi2=4.5)
+        traj = models.simulate_reference(models.MOVING_AVERAGE, params, horizon=100.0,
+                                         phi1=6.0, phi2=4.5)
         dev = analysis.conservation_check(traj, params)
         return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
 
     def invariant_manifold():
-        traj = models.simulate(models.CONSTANT, p_fig, horizon=50.0, phi1=7.0, phi2=7.0)
+        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
+                                          phi1=7.0, phi2=7.0)
         dev = float(np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])))
         return dev < 1e-12, f"max |q1 - q2| = {dev:.2e}"
 
     def swap_symmetry():
-        a = models.simulate(models.CONSTANT, p_fig, horizon=50.0, phi1=5.5, phi2=4.5)
-        b = models.simulate(models.CONSTANT, p_fig, horizon=50.0, phi1=4.5, phi2=5.5)
+        a = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
+                                      phi1=5.5, phi2=4.5)
+        b = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
+                                      phi1=4.5, phi2=5.5)
         ok = np.array_equal(a.states[:, 0], b.states[:, 1]) and \
             np.array_equal(a.states[:, 1], b.states[:, 0])
         return ok, "swapped histories swap the trajectories exactly"
@@ -315,8 +337,8 @@ def _verify_checks():
         q = models.equilibrium(params)
 
         def max_err(h):
-            traj = models.simulate(models.CONSTANT, params, horizon=4.0, step=h,
-                                   phi1=7.0, phi2=7.0)
+            traj = models.simulate_reference(models.CONSTANT, params, horizon=4.0,
+                                             step=h, phi1=7.0, phi2=7.0)
             exact = q + (7.0 - q) * np.exp(-params.mu * traj.times)
             return float(np.max(np.abs(traj.states[:, 0] - exact)))
 

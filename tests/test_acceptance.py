@@ -23,6 +23,7 @@ from qdelay import (
     ma_candidate_roots,
     root_track,
     simulate,
+    simulate_reference,
 )
 from qdelay.analysis import (
     OSCILLATORY,
@@ -158,7 +159,8 @@ def test_a06_conservation_randomized():
             delta = rng.uniform(*delta_range)
             params = ModelParams(lam, mu, delta)
             q = params.lam / (2.0 * params.mu)
-            traj = simulate(model, params, horizon=50.0, phi1=1.3 * q, phi2=0.8 * q)
+            traj = simulate_reference(model, params, horizon=50.0, phi1=1.3 * q,
+                                      phi2=0.8 * q)
             worst = max(worst, conservation_check(traj, params))
     _check("A06 conservation over 10 randomized scenarios per model",
            worst < 1e-6, f"max |q1+q2 - s(t)| = {worst:.2e} < 1e-6")
@@ -213,15 +215,16 @@ def test_a09_monotone_hopf_curve():
 
 def test_a10_symmetry_and_order():
     params = ModelParams(10.0, 1.0, 0.4)
-    same = simulate(CONSTANT, params, horizon=100.0, phi1=7.0, phi2=7.0)
+    same = simulate_reference(CONSTANT, params, horizon=100.0, phi1=7.0, phi2=7.0)
     manifold_dev = float(np.max(np.abs(same.states[:, 0] - same.states[:, 1])))
-    a = simulate(CONSTANT, params, horizon=100.0, phi1=5.5, phi2=4.5)
-    b = simulate(CONSTANT, params, horizon=100.0, phi1=4.5, phi2=5.5)
+    a = simulate_reference(CONSTANT, params, horizon=100.0, phi1=5.5, phi2=4.5)
+    b = simulate_reference(CONSTANT, params, horizon=100.0, phi1=4.5, phi2=5.5)
     swap_exact = (np.array_equal(a.states[:, 0], b.states[:, 1])
                   and np.array_equal(a.states[:, 1], b.states[:, 0]))
 
     def max_err(h):
-        traj = simulate(CONSTANT, params, horizon=4.0, step=h, phi1=7.0, phi2=7.0)
+        traj = simulate_reference(CONSTANT, params, horizon=4.0, step=h,
+                                  phi1=7.0, phi2=7.0)
         exact = 5.0 + 2.0 * np.exp(-traj.times)
         return float(np.max(np.abs(traj.states[:, 0] - exact)))
 

@@ -1,8 +1,9 @@
 """Command-line surface tests: dispatch, CSV formats, exit codes, verify."""
 
+import numpy as np
 import pytest
 
-from qdelay import ModelParams, simulate
+from qdelay import HistoryFunction, ModelParams, Trajectory, cli, simulate
 from qdelay.cli import run, write_trajectory_csv
 
 
@@ -187,3 +188,24 @@ class TestVerifyCommand:
         assert run(["verify"]) == 1
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == 2
+
+
+class TestTrajectoryCsv:
+    """The block-formatted trajectory writer against per-value ``_fmt`` rows."""
+
+    @pytest.mark.parametrize("model,dim", [("constant", 2), ("moving-average", 4)])
+    def test_blocks_match_per_value_formatting(self, tmp_path, model, dim):
+        rows = 2 * cli._CSV_CHUNK_ROWS + 37
+        rng = np.random.default_rng(7)
+        states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 301, (rows, dim))
+        states[:6, 0] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300]
+        states[6:9, -1] = [-1.0, 123456789.5, -2.5e-7]
+        traj = Trajectory(step=0.01, states=states, derivs=np.zeros_like(states),
+                          history=HistoryFunction.constant(states[0], 0.0))
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, model, str(out))
+        header = "t,q1,q2" if dim == 2 else "t,q1,q2,m1,m2"
+        expected = [header] + [",".join(cli._fmt(v) for v in (t, *state))
+                               for t, state in zip(traj.times, traj.states)]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert out.read_text().splitlines()[1].split(",")[1] == "-0"

@@ -25,6 +25,7 @@ from qdelay import (
     models,
     simulate,
     simulate_difference,
+    simulate_reference,
 )
 
 RNG = np.random.default_rng(20240311)
@@ -166,7 +167,8 @@ class TestHistories:
 
 
 class TestConservation:
-    """q1 + q2 follows s' = lam - mu s exactly in both models."""
+    """q1 + q2 follows s' = lam - mu s exactly in both models (full-state
+    integration; ``simulate`` builds the sum in closed form)."""
 
     def test_randomized_scenarios(self):
         rng = np.random.default_rng(42)
@@ -177,37 +179,41 @@ class TestConservation:
                 delta = rng.uniform(*delta_range)
                 p = ModelParams(lam, mu, delta)
                 q = equilibrium(p)
-                traj = simulate(model, p, horizon=50.0, phi1=1.3 * q, phi2=0.8 * q)
+                traj = simulate_reference(model, p, horizon=50.0, phi1=1.3 * q,
+                                          phi2=0.8 * q)
                 assert analysis.conservation_check(traj, p) < 1e-6
 
     def test_fig_scenario_sum_stays_at_fixed_point(self):
         # phi sums to lam/mu, so q1 + q2 should hold exactly at 10
         p = ModelParams(10.0, 1.0, 0.4)
-        traj = simulate(CONSTANT, p, horizon=100.0, phi1=5.5, phi2=4.5)
+        traj = simulate_reference(CONSTANT, p, horizon=100.0, phi1=5.5, phi2=4.5)
         s = traj.states.sum(axis=1)
         assert np.max(np.abs(s - 10.0)) < 1e-6
 
 
 class TestSymmetry:
+    """Symmetry of the full-state integration."""
+
     def test_identical_histories_stay_on_diagonal(self):
         for model, delta in ((CONSTANT, 0.4), (MOVING_AVERAGE, 2.0)):
             p = ModelParams(10.0, 1.0, delta)
-            traj = simulate(model, p, horizon=50.0, phi1=7.0, phi2=7.0)
+            traj = simulate_reference(model, p, horizon=50.0, phi1=7.0, phi2=7.0)
             assert np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])) < 1e-12
 
     def test_swapping_histories_swaps_trajectories_exactly(self):
         for model, delta in ((CONSTANT, 0.4), (MOVING_AVERAGE, 2.0)):
             p = ModelParams(10.0, 1.0, delta)
-            a = simulate(model, p, horizon=50.0, phi1=5.5, phi2=4.5)
-            b = simulate(model, p, horizon=50.0, phi1=4.5, phi2=5.5)
+            a = simulate_reference(model, p, horizon=50.0, phi1=5.5, phi2=4.5)
+            b = simulate_reference(model, p, horizon=50.0, phi1=4.5, phi2=5.5)
             np.testing.assert_array_equal(a.states[:, 0], b.states[:, 1])
             np.testing.assert_array_equal(a.states[:, 1], b.states[:, 0])
             if model == MOVING_AVERAGE:
                 np.testing.assert_array_equal(a.states[:, 2], b.states[:, 3])
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            simulate("other", ModelParams(10.0, 1.0, 0.4), horizon=1.0)
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError):
+                run("other", ModelParams(10.0, 1.0, 0.4), horizon=1.0)
 
 
 class TestMaFromTrajectory:
@@ -255,6 +261,40 @@ class TestDefaultStep:
         assert models.default_step(ModelParams(10.0, 1.0, 0.0)) == pytest.approx(0.01)
 
 
+class TestSimulate:
+    """``simulate`` (difference kernel plus exact sum mode) against the
+    full-state reference integration."""
+
+    @pytest.mark.parametrize("model,lam,mu,delta,horizon,step,phi", [
+        (CONSTANT, 10.0, 1.0, 0.34, 100.0, None, None),        # synchronized
+        (CONSTANT, 10.0, 1.0, 0.40, 100.0, None, None),        # oscillatory
+        (CONSTANT, 10.0, 1.0, 0.0, 50.0, None, None),          # ODE
+        (CONSTANT, 10.0, 1.0, 0.0, 50.0, 0.03, (9.0, 2.0)),    # ODE, s(0) != lam/mu
+        (CONSTANT, 10.0, 1.0, 0.4, 30.0, 0.03, (6.0, 4.0)),    # h = 0.4 / 14
+        (CONSTANT, 10.0, 1.0, 0.4, 30.0, None, (12.0, 1.0)),   # s(0) != lam/mu
+        (CONSTANT, 400.0, 20.0, 0.05, 0.06, None, None),       # lag reads the history
+        (CONSTANT, 10.0, 1.0, 2.0, 0.005, None, (6.0, 3.0)),   # a single node
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 100.0, None, None),   # synchronized
+        (MOVING_AVERAGE, 10.0, 1.0, 2.3, 100.0, None, None),   # oscillatory
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 40.0, 0.07, None),    # h = 2 / 29
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 2.5, None, (6.0, 3.0)),   # history phase
+        (MOVING_AVERAGE, 10.0, 1.0, 4.0, 100.0, None, (6.0, 4.5)),  # s(0) != lam/mu
+        (MOVING_AVERAGE, 100.0, 1.0, 0.15, 50.0, None, (60.0, 10.0)),
+    ])
+    def test_matches_reference(self, model, lam, mu, delta, horizon, step, phi):
+        p = ModelParams(lam, mu, delta)
+        phi1, phi2 = (None, None) if phi is None else phi
+        traj = simulate(model, p, horizon, step=step, phi1=phi1, phi2=phi2)
+        ref = simulate_reference(model, p, horizon, step=step, phi1=phi1, phi2=phi2)
+        assert traj.step == ref.step
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_array_equal(traj.history.values, ref.history.values)
+        np.testing.assert_array_equal(traj.states[0], ref.states[0])
+        scale = 1e-12 * equilibrium(p)
+        assert np.max(np.abs(traj.states - ref.states)) <= scale
+        assert np.max(np.abs(traj.derivs - ref.derivs)) <= scale
+
+
 class TestSimulateDifference:
     """The difference-mode kernel against q1 - q2 of the full-state integrator."""
 
@@ -271,7 +311,7 @@ class TestSimulateDifference:
     ])
     def test_matches_full_state_difference(self, model, lam, mu, delta, horizon, step):
         p = ModelParams(lam, mu, delta)
-        traj = simulate(model, p, horizon, step=step)
+        traj = simulate_reference(model, p, horizon, step=step)
         times, u = simulate_difference(model, p, horizon, step=step)
         np.testing.assert_array_equal(times, traj.times)
         diff = traj.states[:, 0] - traj.states[:, 1]
@@ -287,14 +327,20 @@ class TestSimulateDifference:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
     def test_non_finite_state_fails_where_the_integrator_does(self):
         # mu h = 50 is far outside the RK4 stability region; at delta = 0 a
-        # stage overflows before a node does
+        # stage overflows before a node does.  The default history starts
+        # on s = lam/mu, so only u blows up; from phi = (6, 3) s blows up
+        # too, and the full state fails a step before u alone does.
         for model, delta in ((CONSTANT, 2.0), (MOVING_AVERAGE, 2.0), (CONSTANT, 0.0)):
             p = ModelParams(10.0, 50.0, delta)
-            with pytest.raises(NumericalFailureError) as full:
-                simulate(model, p, 1000.0, step=1.0)
-            with pytest.raises(NumericalFailureError) as kernel:
-                simulate_difference(model, p, 1000.0, step=1.0)
-            assert kernel.value.time == full.value.time
+            for phi, t_full in (((None, None), 58.0), ((6.0, 3.0), 57.0)):
+                failures = []
+                for run in (simulate_reference, simulate, simulate_difference):
+                    with pytest.raises(NumericalFailureError) as info:
+                        run(model, p, 1000.0, step=1.0, phi1=phi[0], phi2=phi[1])
+                    failures.append(info.value.time)
+                reference, full, kernel = failures
+                assert reference == full == t_full
+                assert kernel == 58.0
 
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)
@@ -314,7 +360,7 @@ class TestSimulateDifference:
         rejected = [(np.linspace(-2.0, 0.0, 5), np.full(5, 6.0)),  # a sample table
                     np.array([5.5]), math.inf]
         messages = set()
-        for run in (simulate, simulate_difference):
+        for run in (simulate, simulate_reference, simulate_difference):
             run(model, p, 10.0)
             run(model, p, 10.0, phi1=6.0, phi2=4.5)
             for phi in rejected:
