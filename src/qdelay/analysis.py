@@ -222,12 +222,15 @@ def conservation_check(traj: Trajectory, params: models.ModelParams) -> float:
     return float(np.max(np.abs(s - target)))
 
 
-def _hopf_points(model: str, lam: float, mu: float) -> list[stability.HopfPoint]:
+def _hopf_points(model: str, lam: float, mu: float,
+                 delta_max: float = 0.0) -> list[stability.HopfPoint]:
+    """Hopf points of (lam, mu) in increasing delay: every one at or below
+    ``delta_max``, and always the smallest."""
     if model == models.CONSTANT:
         point = stability.critical_delay_constant(lam, mu)
         return [] if point is None else [point]
     if model == models.MOVING_AVERAGE:
-        return stability.critical_delay_ma(lam, mu)
+        return stability._ma_points_through(lam, mu, delta_max)
     raise ValueError(f"unknown model kind: {model!r}")
 
 
@@ -282,12 +285,15 @@ def sweep(model: str, mu: float, lambdas, deltas,
     from the default history and step, and is classified on its second half.
     """
     rows: list[SweepRow] = []
+    deltas = [float(delta) for delta in deltas]
+    # crossings above the largest delay cannot change a prediction; a NaN
+    # delay fails its own row
+    reach = max((delta for delta in deltas if not math.isnan(delta)), default=0.0)
     for lam in lambdas:
         lam = float(lam)
         crossings = [(p.delta_cr, _crossing_direction(model, p))
-                     for p in _hopf_points(model, lam, mu)]
+                     for p in _hopf_points(model, lam, mu, reach)]
         for delta in deltas:
-            delta = float(delta)
             if not crossings:
                 predicted = NOT_APPLICABLE
             elif sum(sign for delta_cr, sign in crossings if delta_cr <= delta) > 0:

@@ -233,7 +233,7 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     ValueError
         Mismatched lag/dimension or invalid configuration.
     NumericalFailureError
-        A node, or at lag 0 a stage, went non-finite; carries the failing time.
+        A node or a stage went non-finite; carries the failing time.
     """
     if history.delta != system.lag:
         raise ValueError(
@@ -271,6 +271,7 @@ def integrate(system: DdeSystem, history: HistoryFunction,
 
     half = 0.5 * h
     sixth = h / 6.0
+    s = x0
     # an overflow is reported as a NumericalFailureError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -289,9 +290,12 @@ def integrate(system: DdeSystem, history: HistoryFunction,
                 else:
                     xm = mid_lag(k)
                     xe = node_lag(k + 1)
-                    k2 = rhs(t + half, x + half * k1, xm)
-                    k3 = rhs(t + half, x + half * k2, xm)
-                    k4 = rhs(t1, x + h * k3, xe)
+                    s = x + half * k1
+                    k2 = rhs(t + half, s, xm)
+                    s = x + half * k2
+                    k3 = rhs(t + half, s, xm)
+                    s = x + h * k3
+                    k4 = rhs(t1, s, xe)
                 xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 if not np.isfinite(xn).all():
                     raise NumericalFailureError("integration produced a non-finite state", t1)
@@ -301,9 +305,8 @@ def integrate(system: DdeSystem, history: HistoryFunction,
                 else:
                     derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
         except ValueError:
-            # at lag 0 the rhs also reads the stage state as its lagged value
-            # and may reject one that overflowed within step k
-            if ode and not np.isfinite(s).all():
+            # the rhs may reject a stage state that overflowed within step k
+            if not np.isfinite(s).all():
                 raise NumericalFailureError("integration produced a non-finite state",
                                             (k + 1) * h) from None
             raise

@@ -192,8 +192,8 @@ def simulate_reference(model: str, params: ModelParams, horizon: float,
     invariant manifold and the order of the scheme are properties of a
     real integration here, not of how ``simulate`` assembles its states.
     ``qdelay verify`` and the invariant tests run it.  Arguments are those
-    of ``simulate``; a node, or at delta = 0 a stage, that goes non-finite
-    raises ``NumericalFailureError``.
+    of ``simulate``; a node or a stage that goes non-finite raises
+    ``NumericalFailureError``.
     """
     if model == CONSTANT:
         system = constant_delay_system(params)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,54 +112,69 @@ def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
     return lam * math.sin(theta) + 2.0 * mu * theta
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, max_iter: int = 200) -> float:
-    # refine to float resolution; the residual at i*omega is steep in the
-    # phase for large lam, so a coarse root would not sit on the imaginary axis
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _newton_from_end(theta: float, f_theta: float, side: float,
+                     lam: float, mu: float) -> float:
+    # Newton on the phase function f from an end theta of an odd interval,
+    # moving right from k pi (side +1) or left from (k + 1) pi (side -1).
+    # f is convex there and f(theta) > 0, so each iterate stays on its end's
+    # side of the root; stop once one fails to advance or f changes sign.
+    # About five steps suffice; the cap is a guard
+    for _ in range(200):
+        slope = lam * math.cos(theta) + 2.0 * mu
+        if slope * side >= 0.0:
+            return theta
+        nxt = theta - f_theta / slope
+        if nxt == theta:
+            return theta
+        f_nxt = ma_threshold_function(nxt, lam, mu)
+        if f_nxt <= 0.0:
+            return nxt if -f_nxt < f_theta else theta
+        theta, f_theta = nxt, f_nxt
+    return theta
+
+
+def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float]]:
+    # (delta, omega) of every Hopf point whose phase interval can hold a
+    # delay <= delta_hi, in increasing phase; see ma_candidate_roots
+    _validate_rates(lam, mu)
+    roots = []
+    k = 1
+    while 2.0 * mu * k * math.pi < lam and (k * math.pi) ** 2 < lam * delta_hi:
+        lo, hi = k * math.pi, (k + 1) * math.pi
+        if ma_threshold_function(lo + math.acos(2.0 * mu / lam), lam, mu) >= 0.0:
+            break
+        for end, side in ((lo, 1.0), (hi, -1.0)):
+            theta = _newton_from_end(end, ma_threshold_function(end, lam, mu),
+                                     side, lam, mu)
+            delta = 2.0 * theta * theta / (lam * (1.0 - math.cos(theta)))
+            roots.append((delta, theta / delta))
+        k += 2
+    return roots
 
 
 def ma_candidate_roots(lam: float, mu: float) -> list[HopfPoint]:
     """Every moving-average Hopf point, in increasing phase.
 
-    The phase function is positive at every multiple of pi and on
-    (k pi, (k + 1) pi) for even k.  For odd k it is convex there, with its
-    minimum at k pi + arccos(2 mu / lam), so an odd interval holds two
-    roots, one on each side of the minimum, when the minimum is negative,
-    and none otherwise; no interval with 2 mu k pi >= lam can.  Each root
-    theta is bisected to float resolution and mapped to
+    The phase function f is positive at every multiple of pi and on
+    (k pi, (k + 1) pi) for even k.  For odd k, f'' = -lam sin(theta) > 0
+    there, so f is convex, with its minimum at k pi + arccos(2 mu / lam):
+    the interval holds two roots, one on each side of the minimum, when the
+    minimum is negative, and none otherwise.  The minimum grows by 4 mu pi
+    from one odd interval to the next, so the scan stops at the first
+    interval without roots; none with 2 mu k pi >= lam has any.
+
+    Each root is found by Newton from its end of the interval, k pi for
+    the left root and (k + 1) pi for the right one, with
+    f' = lam cos(theta) + 2 mu.  f > 0 at both ends and convexity puts every
+    tangent below f, so each iterate stays on its end's side of the root
+    and moves toward it without passing it.  The iteration stops once an
+    iterate no longer advances or f changes sign (keeping the iterate with
+    the smaller |f|), after about five steps.  Each root theta maps to
     delta = 2 theta^2 / (lam (1 - cos theta)) and omega = theta / delta,
     where both parts of the residual vanish.
     """
-    _validate_rates(lam, mu)
-
-    def f(theta: float) -> float:
-        return ma_threshold_function(theta, lam, mu)
-
-    points: list[HopfPoint] = []
-    k = 1
-    while 2.0 * mu * k * math.pi < lam:
-        lo, hi = k * math.pi, (k + 1) * math.pi
-        low_point = lo + math.acos(2.0 * mu / lam)
-        f_low = f(low_point)
-        if f_low < 0.0:
-            for a, b, f_a in ((lo, low_point, f(lo)), (low_point, hi, f_low)):
-                theta = _bisect(f, a, b, f_a)
-                delta = 2.0 * theta * theta / (lam * (1.0 - math.cos(theta)))
-                points.append(HopfPoint(lam=lam, mu=mu, delta_cr=delta,
-                                        omega=theta / delta))
-        k += 2
-    return points
+    return [HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega)
+            for delta, omega in _ma_roots(lam, mu, math.inf)]
 
 
 def critical_delay_ma(lam: float, mu: float,
@@ -168,46 +183,52 @@ def critical_delay_ma(lam: float, mu: float,
 
     With a ``bracket`` (lo, hi), only the delays in [lo, hi] are kept and
     indexed.  Returns an empty list when none lies in range.
+
+    The search stops at ``hi``: since 1 - cos(theta) <= 2,
+    delta(theta) = 2 theta^2 / (lam (1 - cos theta)) >= theta^2 / lam, so
+    the interval (k pi, (k + 1) pi) holds no delay <= hi once
+    (k pi)^2 >= lam hi, and neither does any interval after it.
     """
     lo, hi = (0.0, math.inf) if bracket is None else bracket
-    inside = sorted((p for p in ma_candidate_roots(lam, mu) if lo <= p.delta_cr <= hi),
-                    key=lambda p: p.delta_cr)
-    return [replace(p, branch=i) for i, p in enumerate(inside)]
+    inside = sorted(root for root in _ma_roots(lam, mu, hi) if lo <= root[0] <= hi)
+    return [HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega, branch=i)
+            for i, (delta, omega) in enumerate(inside)]
 
 
-def _residual_and_derivative(model: str, lam: float, mu: float, delta: float):
-    """The residual R(r) at fixed (lam, mu, delta), and its partials
-    dR/dr and dR/ddelta."""
+def _ma_points_through(lam: float, mu: float, delta_max: float = 0.0) -> list[HopfPoint]:
+    """``critical_delay_ma`` up to the larger of ``delta_max`` and
+    9 pi^2 / lam, which always includes branch 0 when it exists.
+
+    Branch 0 is the left root of (pi, 2 pi): both k = 1 roots lie there,
+    where delta(theta) increases, and the left one lies before the minimum
+    of f at pi + arccos(2 mu / lam) < 3 pi / 2, so its delay is below
+    delta(3 pi / 2) = 4.5 pi^2 / lam, while every root beyond 3 pi has
+    delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root, no
+    interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
+    """
+    _validate_rates(lam, mu)
+    return critical_delay_ma(lam, mu, bracket=(0.0, max(9.0 * math.pi ** 2 / lam, delta_max)))
+
+
+def _validate_query(model: str, lam: float, mu: float, delta: float) -> None:
+    _validate_rates(lam, mu)
     if model == CONSTANT:
         if delta < 0.0:
             raise ValueError("delta must be >= 0 for the constant-delay model")
-
-        def res(r: complex) -> complex:
-            return characteristic_residual_constant(r, lam, mu, delta)
-
-        def dres(r: complex) -> complex:
-            return 1.0 - 0.5 * lam * delta * cmath.exp(-r * delta)
-
-        def dres_ddelta(r: complex) -> complex:
-            return -0.5 * lam * r * cmath.exp(-r * delta)
-
     elif model == MOVING_AVERAGE:
         if delta <= 0.0:
             raise ValueError("delta must be > 0 for the moving-average model")
-
-        def res(r: complex) -> complex:
-            return characteristic_residual_ma(r, lam, mu, delta)
-
-        def dres(r: complex) -> complex:
-            return 2.0 * r + mu + 0.5 * lam * cmath.exp(-r * delta)
-
-        def dres_ddelta(r: complex) -> complex:
-            decay = cmath.exp(-r * delta)
-            return 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
-
     else:
         raise ValueError(f"unknown model kind: {model!r}")
-    return res, dres, dres_ddelta
+
+
+def _slope(model: str, lam: float, mu: float, delta: float, r: complex) -> complex:
+    """The partial dR/dr of the residual at r; the caller validates the
+    arguments."""
+    decay = cmath.exp(-r * delta)
+    if model == CONSTANT:
+        return 1.0 - 0.5 * lam * delta * decay
+    return 2.0 * r + mu + 0.5 * lam * decay
 
 
 def root_track(model: str, lam: float, mu: float, delta: float,
@@ -216,7 +237,10 @@ def root_track(model: str, lam: float, mu: float, delta: float,
 
     Seeding with i*omega of a nearby Hopf point tracks the critical pair as
     the delay moves off the threshold, giving a numerical oracle for the
-    crossing direction.  The residual derivative is analytic.
+    crossing direction.  The arguments are validated once per call; each
+    iteration evaluates the public ``characteristic_residual_*`` of the
+    model once and its analytic derivative R_r, which ``crossing_rate``
+    shares.
 
     ``tol`` bounds |residual| absolutely.  By default it is
     ``max(1e-12, 1e-13 * scale)`` with ``scale`` the size of the residual's
@@ -230,23 +254,24 @@ def root_track(model: str, lam: float, mu: float, delta: float,
         No root with |residual| < tol within ``max_iter`` iterations, or a
         singular derivative at an iterate.
     """
-    _validate_rates(lam, mu)
-    res, dres, _ = _residual_and_derivative(model, lam, mu, delta)
+    _validate_query(model, lam, mu, delta)
     if tol is None:
         scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
         tol = max(1e-12, 1e-13 * scale)
     r = complex(seed)
     if not (math.isfinite(r.real) and math.isfinite(r.imag)):
         raise ValueError("seed must be finite")
+    residual = (characteristic_residual_constant if model == CONSTANT
+                else characteristic_residual_ma)
     for _ in range(max_iter):
-        value = res(r)
+        value = residual(r, lam, mu, delta)
         if abs(value) < tol:
             return r
-        slope = dres(r)
+        slope = _slope(model, lam, mu, delta, r)
         if slope == 0.0:
             raise ConvergenceError(f"singular residual derivative at {r}")
         r = r - value / slope
-    if abs(res(r)) < tol:
+    if abs(residual(r, lam, mu, delta)) < tol:
         return r
     raise ConvergenceError(
         f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations")
@@ -262,9 +287,13 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     the sign of its real part is the crossing direction: positive where the
     pair enters the right half-plane as the delay grows.
     """
-    _validate_rates(lam, mu)
-    _, dres, dres_ddelta = _residual_and_derivative(model, lam, mu, delta)
-    return -dres_ddelta(r) / dres(r)
+    _validate_query(model, lam, mu, delta)
+    decay = cmath.exp(-r * delta)
+    if model == CONSTANT:
+        r_delta = -0.5 * lam * r * decay
+    else:
+        r_delta = 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
+    return -r_delta / _slope(model, lam, mu, delta, r)
 
 
 def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
@@ -272,8 +301,9 @@ def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
     """Critical delay versus arrival rate on a linear lambda grid.
 
     For the constant-delay model the closed form is evaluated where
-    lam > 2 mu; for the moving-average model the smallest branch is used.
-    Grid points without a root emit nothing.
+    lam > 2 mu; for the moving-average model the smallest branch is used,
+    searched only up to delta = 9 pi^2 / lam, which always holds it.  Grid
+    points without a root emit nothing.
     """
     if model not in (CONSTANT, MOVING_AVERAGE):
         raise ValueError(f"unknown model kind: {model!r}")
@@ -290,7 +320,7 @@ def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
             if point is not None:
                 points.append(point)
         else:
-            roots = critical_delay_ma(float(lam), mu)
+            roots = _ma_points_through(float(lam), mu)
             if roots:
                 points.append(roots[0])
     return points

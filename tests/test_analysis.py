@@ -217,6 +217,8 @@ class TestSweep:
         assert rows[0].error is not None
         assert math.isnan(rows[0].amplitude)
         assert rows[1].observed == SYNCHRONIZED
+        # the first threshold, 2.1448, lies above every delay of the sweep
+        assert rows[1].predicted == SYNCHRONIZED
 
     def test_rows_match_full_state_classification(self):
         # sweep integrates only q1 - q2; classifying the full-state run of

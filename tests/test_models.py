@@ -342,6 +342,16 @@ class TestSimulateDifference:
                 assert reference == full == t_full
                 assert kernel == 58.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
+    def test_reference_reports_a_lagged_stage_overflow(self):
+        # at mu h = 7.5 and delta = 2 h a stage of the window averages m1, m2
+        # overflows within the step from t = 160, before any node does; the
+        # logit weights would reject it as a non-finite input
+        p = ModelParams(65.0, 7.5, 2.0)
+        with pytest.raises(NumericalFailureError) as info:
+            simulate_reference(MOVING_AVERAGE, p, 200.0, step=1.0)
+        assert info.value.time == 161.0
+
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)
         with pytest.raises(ValueError) as expected:

@@ -1,17 +1,20 @@
 """Hopf machinery tests.
 
 Independent oracles: the moving-average threshold condition is re-derived
-inline in its delay form and bisected by a local helper; residuals are
+inline in its delay form and bisected by a local helper, and its phase
+form is bisected on every odd interval to check the Newton roots; residuals are
 checked at claimed roots; the crossing rate is checked against its closed
 form on the constant-delay model and against finite differences of Newton
 root tracking on the moving-average model.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qdelay import stability
 from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
@@ -192,6 +195,120 @@ class TestCriticalDelayMa:
             ma_threshold_function(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             ma_threshold_function(1.0, 10.0, math.nan)
+
+
+def _phase_bisection_deltas(lam, mu):
+    # every Hopf delay, by bisecting lam sin(theta) + 2 mu theta on both
+    # sides of its minimum on each odd interval (k pi, (k + 1) pi)
+    def f(theta):
+        return lam * math.sin(theta) + 2.0 * mu * theta
+
+    deltas = []
+    k = 1
+    while 2.0 * mu * k * math.pi < lam:
+        low = k * math.pi + math.acos(2.0 * mu / lam)
+        if f(low) < 0.0:
+            for a, b in ((k * math.pi, low), (low, (k + 1) * math.pi)):
+                theta = _bisect_oracle(f, a, b)
+                deltas.append(2.0 * theta ** 2 / (lam * (1.0 - math.cos(theta))))
+        k += 2
+    return sorted(deltas)
+
+
+def _existence_edge(k, mu):
+    # the smallest float lam at which the minimum of the phase function on
+    # (k pi, (k + 1) pi), as the package evaluates it, is negative
+    def minimum(lam):
+        return ma_threshold_function(k * math.pi + math.acos(2.0 * mu / lam), lam, mu)
+
+    lo, hi = 2.0 * mu * k * math.pi, 4.0 * mu * (k + 1) * math.pi
+    assert minimum(lo) > 0.0 > minimum(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if minimum(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+class TestNewtonPhaseRoots:
+    def test_agrees_with_phase_bisection(self):
+        rng = np.random.default_rng(11)
+        for ratio in np.geomspace(2.5, 1000.0, 24):
+            mu = float(rng.uniform(0.3, 3.0))
+            lam = float(ratio) * mu
+            got = [p.delta_cr for p in critical_delay_ma(lam, mu)]
+            expected = _phase_bisection_deltas(lam, mu)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a == pytest.approx(b, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_two_roots_at_the_existence_edge(self, k):
+        # where an interval just gains its root pair the roots nearly
+        # coincide and are ill-conditioned; both must still be found, with
+        # residuals at rounding level
+        mu = 1.0
+        edge = _existence_edge(k, mu)
+        for lam in (edge, edge * (1.0 + 1e-13), edge * (1.0 + 1e-12)):
+            inside = [p for p in critical_delay_ma(lam, mu)
+                      if k * math.pi < p.omega * p.delta_cr < (k + 1) * math.pi]
+            assert len(inside) == 2
+            for p in inside:
+                scale = lam / p.delta_cr + mu * mu
+                assert abs(characteristic_residual_ma(1j * p.omega, lam, mu,
+                                                      p.delta_cr)) <= 1e-12 * scale
+        below = math.nextafter(edge, 0.0)
+        assert not [p for p in critical_delay_ma(below, mu)
+                    if k * math.pi < p.omega * p.delta_cr < (k + 1) * math.pi]
+
+    def test_phase_evaluations_per_root(self, monkeypatch):
+        # bisection to float resolution took about 47 evaluations per root
+        calls = []
+        original = stability.ma_threshold_function
+
+        def counted(theta, lam, mu):
+            calls.append(theta)
+            return original(theta, lam, mu)
+
+        monkeypatch.setattr(stability, "ma_threshold_function", counted)
+        points = critical_delay_ma(1000.0, 1.0)
+        assert len(points) == 158
+        assert len(calls) <= 10 * len(points)
+
+
+class TestDelayBound:
+    def test_bracket_equals_filtered_list(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            mu = float(rng.uniform(0.3, 3.0))
+            lam = float(np.exp(rng.uniform(math.log(10.0), math.log(1000.0)))) * mu
+            every = critical_delay_ma(lam, mu)
+            deltas = [p.delta_cr for p in every]
+            # random edges, and edges exactly at a root's delay
+            edges = [tuple(sorted(rng.uniform(0.0, 1.2 * deltas[-1], 2)))]
+            i, j = sorted(rng.integers(0, len(deltas), 2))
+            edges += [(deltas[i], deltas[j]), (0.0, deltas[j]), (deltas[i], math.inf)]
+            for lo, hi in edges:
+                expected = [replace(p, branch=n) for n, p in
+                            enumerate(p for p in every if lo <= p.delta_cr <= hi)]
+                assert critical_delay_ma(lam, mu, bracket=(lo, hi)) == expected
+
+    def test_hopf_curve_branch_zero(self):
+        for mu in (0.5, 1.0, 2.0):
+            points = hopf_curve(MOVING_AVERAGE, mu, (2.5 * mu, 1000.0 * mu), 60)
+            assert len(points) > 50
+            for p in points:
+                assert p == critical_delay_ma(p.lam, mu)[0]
+
+    def test_first_branch_below_nine_pi_squared_over_lam(self):
+        for mu in (0.5, 1.0, 2.0):
+            for lam in np.geomspace(9.5 * mu, 1000.0 * mu, 40):
+                first = critical_delay_ma(float(lam), mu)[0]
+                assert math.pi < first.omega * first.delta_cr < 1.5 * math.pi
+                assert first.delta_cr < 4.5 * math.pi ** 2 / lam
 
 
 class TestCrossingRate:
