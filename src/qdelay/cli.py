@@ -8,6 +8,7 @@ codes: 0 success, 1 usage or validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -64,22 +65,149 @@ def _write_rows(header: str, rows, path: str | None) -> None:
 # rows formatted per write_trajectory_csv block; bounds the text held at once
 _CSV_CHUNK_ROWS = 1024
 
+# Text pieces of the block formatter are little-endian 4-byte words whose
+# NUL bytes are pads, dropped once the block is assembled.  _text_table()
+# holds the 4-digit groups 0000..9999 in full, with leading zeros blanked
+# (the units digit kept), and with trailing zeros blanked (0 all blank),
+# then the sign-and-top-digit words and the decimal point.  It is built on
+# first use, so importing cli costs no table.
+_LEAD, _TRAIL, _HEAD, _DOT = 10000, 20000, 30000, 30020
+
+
+def _ascii_words(texts) -> np.ndarray:
+    return np.array([int.from_bytes(t.encode("ascii").ljust(4, b"\0"), "little")
+                     for t in texts], dtype="<u4")
+
+
+@functools.cache
+def _text_table() -> np.ndarray:
+    v = np.arange(10000, dtype="<u4")
+    full = (v // 1000 + 48) | (v // 100 % 10 + 48) << 8 \
+        | (v // 10 % 10 + 48) << 16 | (v % 10 + 48) << 24
+    byte = np.uint32(0xFF)
+    lead = full & ((v >= 1000) * byte | (v >= 100) * (byte << 8)
+                   | (v >= 10) * (byte << 16) | byte << 24)
+    trail = full & ((v > 0) * byte | (v % 1000 > 0) * (byte << 8)
+                    | (v % 100 > 0) * (byte << 16) | (v % 10 > 0) * (byte << 24))
+    # _HEAD + 10 * negative + top digit: the sign, then the 9th integer digit
+    heads = [sign + "\0\0" + str(top) if top else sign
+             for sign in ("", "-") for top in range(10)]
+    table = np.concatenate([full, lead, trail, _ascii_words(heads + ["", "."])])
+    table.flags.writeable = False
+    return table
+
+
+_COMMA, _NEWLINE = _ascii_words([",", "\n"])
+# exact: the integers 10^k, k <= 13, are below 2^53
+_POW10 = np.array([float(10 ** k) for k in range(14)])
+
+
+def _fast_rows(chunk: np.ndarray) -> str | None:
+    """``_percent_rows(chunk)`` by numpy, or None when a value leaves the
+    domain where the two provably agree (see ``write_trajectory_csv``)."""
+    rows, cols = chunk.shape
+    x = chunk.ravel()
+    a = np.abs(x)
+    if not a.max() < 1e9:
+        return None
+    # zeros take the exponent of 1 and get the mantissa 0 once k is checked
+    zero = a == 0.0
+    a[zero] = 1.0
+    # k = 8 - e decimal places put the 9-digit mantissa d = a 10^k in
+    # [1e8, 1e9); floor(log10 a) is off by at most one, so one correction
+    # does it, except where k is clipped at 13, which the k check refuses
+    k = np.clip(8 - np.floor(np.log10(a)).astype(np.int64), 0, 13)
+    d = a * _POW10[k]
+    low, high = d < 1e8, d >= 1e9
+    if low.any() or high.any():
+        k += low
+        k -= high
+        np.clip(k, 0, 13, out=k)
+        d = a * _POW10[k]
+    n = np.rint(d)
+    if not np.abs(d - n).max() < 0.5 - 1e-6:
+        return None
+    carry = n == 1e9
+    n[carry] = 1e8
+    k -= carry
+    if not (k.min() >= 0 and k.max() <= 12):
+        return None
+    n[zero] = 0.0
+    # the value is n 10^-k: integer part ip < 1e9, 12-digit fraction f < 1e12
+    scale = _POW10[k]
+    ip = np.floor(n / scale)
+    f = ((n - ip * scale) * _POW10[12 - k]).astype(np.int64)
+    ip = ip.astype(np.int64)
+    q = ip // 10000
+    i0 = ip - q * 10000
+    i2 = q // 10000
+    i1 = q - i2 * 10000
+    q = f // 10000
+    f0 = f - q * 10000
+    f2 = q // 10000
+    f1 = q - f2 * 10000
+    # words: sign and 9th integer digit; integer digits 8-5, blank below 1e4
+    # (there i1 = 0 and the index 2 _LEAD = _TRAIL is the blank _TRAIL + 0);
+    # integer digits 4-1; "."; fraction digits 1-4, 5-8 and 9-12; separator
+    small = ip < 10000
+    text = _text_table()
+    words = np.empty((x.size, 8), dtype="<u4")
+    words[:, 0] = text[_HEAD + 10 * np.signbit(x) + i2]
+    words[:, 1] = text[i1 + _LEAD * (ip < 100000000) + _LEAD * small]
+    words[:, 2] = text[i0 + _LEAD * small]
+    words[:, 3] = text[_DOT + (f > 0)]
+    words[:, 4] = text[f2 + _TRAIL * ((f1 | f0) == 0)]
+    words[:, 5] = text[f1 + _TRAIL * (f0 == 0)]
+    words[:, 6] = text[f0 + _TRAIL]
+    separators = words.reshape(rows, cols, 8)[:, :, 7]
+    separators[:] = _COMMA
+    separators[:, -1] = _NEWLINE
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _percent_rows(chunk: np.ndarray) -> str:
+    # "%.9g" of a Python float is the text _fmt gives it
+    row = ",".join(["%.9g"] * chunk.shape[1]) + "\n"
+    return (row * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+
 
 def _trajectory_blocks(traj: Trajectory):
-    # "%.9g" of a Python float is the text _fmt gives it
-    row = ",".join(["%.9g"] * (traj.dimension + 1)) + "\n"
     for start in range(0, traj.times.size, _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
         chunk = np.column_stack((traj.times[start:stop], traj.states[start:stop]))
-        yield (row * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        text = _fast_rows(chunk)
+        yield _percent_rows(chunk) if text is None else text
 
 
 def write_trajectory_csv(traj: Trajectory, model: str, path: str | None) -> None:
-    """Write one row per node with 9-significant-digit values.
+    """Write one row per node, each value as ``"%.9g"`` formats it.
 
     Columns are ``t,q1,q2`` for the constant-delay model and
     ``t,q1,q2,m1,m2`` for the moving-average model.  Rows are formatted
-    and written in blocks of ``_CSV_CHUNK_ROWS``.
+    and written in blocks of ``_CSV_CHUNK_ROWS``, by numpy where that gives
+    the bytes of ``"%.9g"`` and by the ``%`` operator otherwise.
+
+    Why the numpy text is exact: for ``a = |x| > 0`` with ``k`` decimal
+    places, ``0 <= k <= 12``, the power ``10^k`` is exact in float64, so
+    ``d = fl(a 10^k)`` in ``[1e8, 1e9)`` lies within ``1e9 2^-53 < 1.2e-7``
+    of the exact product, and ``rint(d)`` is the correctly rounded 9-digit
+    mantissa ``n`` unless ``d`` lies within 1.2e-7 of a half-integer.
+    ``%g`` writes fixed notation exactly when the rounded exponent
+    ``e = 8 - k`` lies in ``[-4, 8]``.  The value ``n 10^-k`` is then split
+    into an integer part below 1e9 and a 12-digit fraction below 1e12.
+    Both steps are exact: ``n / 10^k`` is correctly rounded and lies at
+    least ``10^-k`` below the next integer, far more than its rounding
+    error, so its floor is the integer part; every other operand is an
+    integer below 2^53, split further by int64 division.  The digits are
+    looked up in 4-digit tables with the integer's leading and the
+    fraction's trailing zeros blanked; ``.`` is written only before a
+    nonzero fraction and ``-`` wherever the sign bit is set, so ``-0.0``
+    prints ``-0``.
+
+    Fallback rule: a block takes the numpy path only if every value is zero
+    or is finite with a final ``e`` in ``[-4, 8]`` and
+    ``|d - floor(d) - 0.5| > 1e-6``; any other block is formatted value by
+    value with ``"%.9g"``.
     """
     if model == models.CONSTANT:
         header = "t,q1,q2"
@@ -106,7 +234,10 @@ def write_sweep_csv(rows, path: str | None) -> None:
     _write_rows("lambda,mu,delta,predicted,observed,amplitude,agree", data, path)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and reused: parsing
+    reads it without changing it, and each call gets a fresh namespace."""
     parser = _Parser(prog="qdelay",
                      description="Fluid models of parallel queues under delayed "
                                  "queue-length information")

@@ -58,9 +58,10 @@ class HopfPoint:
 
 
 def _validate_rates(lam: float, mu: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
+    # one chained comparison per rate: False for NaN, +-inf and values <= 0
+    if not 0.0 < lam < math.inf:
         raise ValueError("lam must be finite and > 0")
-    if not (math.isfinite(mu) and mu > 0.0):
+    if not 0.0 < mu < math.inf:
         raise ValueError("mu must be finite and > 0")
 
 
@@ -108,7 +109,10 @@ def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
     part vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
     Every zero theta > 0 is therefore a Hopf point at that delta.
     """
-    _validate_rates(lam, mu)
+    # Newton calls this once per phase evaluation: test the rates inline and
+    # call _validate_rates, which names the bad rate, only when one fails
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
+        _validate_rates(lam, mu)
     return lam * math.sin(theta) + 2.0 * mu * theta
 
 
@@ -182,7 +186,8 @@ def critical_delay_ma(lam: float, mu: float,
     """Moving-average critical delays, sorted and branch-indexed.
 
     With a ``bracket`` (lo, hi), only the delays in [lo, hi] are kept and
-    indexed.  Returns an empty list when none lies in range.
+    indexed; ``hi`` may be inf, and a bracket with ``lo > hi`` or a NaN end
+    raises ValueError.  Returns an empty list when no delay lies in range.
 
     The search stops at ``hi``: since 1 - cos(theta) <= 2,
     delta(theta) = 2 theta^2 / (lam (1 - cos theta)) >= theta^2 / lam, so
@@ -190,6 +195,8 @@ def critical_delay_ma(lam: float, mu: float,
     (k pi)^2 >= lam hi, and neither does any interval after it.
     """
     lo, hi = (0.0, math.inf) if bracket is None else bracket
+    if not lo <= hi:
+        raise ValueError(f"bracket must satisfy lo <= hi without NaN, got ({lo}, {hi})")
     inside = sorted(root for root in _ma_roots(lam, mu, hi) if lo <= root[0] <= hi)
     return [HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega, branch=i)
             for i, (delta, omega) in enumerate(inside)]

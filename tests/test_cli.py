@@ -105,6 +105,14 @@ class TestCriticalDelayCommand:
                     "--lambda", "10", "--mu", "1", "--bracket", "0.5", "1.5"]) == 0
         assert "no validated Hopf root" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bracket", [["5", "1"], ["nan", "5"], ["0", "nan"]])
+    def test_ma_invalid_bracket_is_usage_error(self, capsys, bracket):
+        assert run(["critical-delay", "--model", "moving-average",
+                    "--lambda", "10", "--mu", "1", "--bracket", *bracket]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bracket must satisfy lo <= hi")
+
 
 class TestHopfCurveCommand:
     def test_constant_curve_csv(self, tmp_path):
@@ -167,6 +175,51 @@ class TestExitCodes:
         assert "simulate" in capsys.readouterr().out
 
 
+class TestParserReuse:
+    """run reuses one parser; consecutive calls must not see each other's
+    arguments, defaults or errors."""
+
+    SEQUENCE = [
+        ["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+         "--delta", "0.4", "--horizon", "0.05", "--phi1", "7", "--phi2", "3"],
+        ["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+         "--delta", "0.4", "--horizon", "0.05"],
+        ["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+         "--delta", "0.4", "--horizon", "0.05", "--phi1", "7"],
+        ["critical-delay", "--model", "moving-average", "--lambda", "10"],
+        ["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+         "--delta", "0.4", "--horizon", "0.05"],
+        ["critical-delay", "--model", "moving-average", "--lambda", "10", "--mu", "1",
+         "--bracket", "2", "3"],
+        ["critical-delay", "--model", "moving-average", "--lambda", "10", "--mu", "1"],
+        ["simulate", "--nope"],
+        ["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+         "--delta", "0.4", "--horizon", "0.05", "--phi1", "7", "--phi2", "3"],
+    ]
+
+    def _outcomes(self, capsys, fresh):
+        outcomes = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_consecutive_runs_match_fresh_parsers(self, capsys):
+        fresh = self._outcomes(capsys, fresh=True)
+        reused = self._outcomes(capsys, fresh=False)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 1, 0, 0, 0, 1, 0]
+        # the first and last runs start from (7, 3), the second from the
+        # default (1.1 q*, 0.9 q*), not from the previous run's --phi flags
+        assert reused[0] == reused[-1]
+        assert reused[1][1].splitlines()[1] == "0,5.5,4.5"
+        assert reused[0][1].splitlines()[1] == "0,7,3"
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
         assert run(["verify"]) == 0
@@ -209,3 +262,106 @@ class TestTrajectoryCsv:
                                for t, state in zip(traj.times, traj.states)]
         assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
         assert out.read_text().splitlines()[1].split(",")[1] == "-0"
+
+
+def _percent_text(values):
+    """The ``%`` row template the writer falls back to, on (rows, cols) values."""
+    row = ",".join(["%.9g"] * values.shape[1]) + "\n"
+    return (row * values.shape[0]) % tuple(values.ravel().tolist())
+
+
+def _edge_values():
+    """Powers of ten, 9-digit carries, zero runs inside the digits and the
+    domain edges with their neighbours, all printed by %.9g in fixed
+    notation away from a tie."""
+    values = [0.0, -0.0]
+    for e in range(-4, 9):
+        p = 10.0 ** e
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        values += [n * 10.0 ** (e - 8) for n in (100000001, 100000050, 100001000,
+                                                  100200003, 120000034, 999900001)]
+        if e <= 7:
+            # 9.9999999997 10^e rounds up to 10^(e+1): the mantissa carries
+            values.append(9.9999999997 * p)
+    values += [1e-4, np.nextafter(1e-4, 0.0), 999999999.0, 999999999.4]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestFastRows:
+    """The numpy block formatter against the ``%`` row template."""
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        chunks = []
+        percent = cli._percent_rows
+
+        def counted(chunk):
+            chunks.append(chunk.copy())
+            return percent(chunk)
+
+        monkeypatch.setattr(cli, "_percent_rows", counted)
+        return chunks
+
+    @staticmethod
+    def _write(tmp_path, states, step=0.01):
+        traj = Trajectory(step=step, states=states, derivs=np.zeros_like(states),
+                          history=HistoryFunction.constant(states[0], 0.0))
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, "moving-average", str(out))
+        expected = "t,q1,q2,m1,m2\n" + _percent_text(np.column_stack((traj.times, states)))
+        return out.read_bytes(), expected.encode()
+
+    def test_in_domain_table_never_falls_back(self, tmp_path, monkeypatch):
+        rows = 2 * cli._CSV_CHUNK_ROWS + 37
+        rng = np.random.default_rng(11)
+        states = rng.choice([-1.0, 1.0], (rows, 4)) * 10.0 ** rng.uniform(-4.0, 9.0, (rows, 4))
+        edges = _edge_values()
+        states[:edges.size, 1] = edges
+        states[-edges.size:, 3] = edges
+        fallbacks = self._count_fallbacks(monkeypatch)
+        written, expected = self._write(tmp_path, states)
+        assert written == expected
+        assert fallbacks == []
+
+    def test_near_ties_and_out_of_domain_values(self, tmp_path, monkeypatch):
+        ties = []
+        for e in range(-4, 9):
+            for k in (100000000, 123456789, 555555555, 999999999):
+                tie = (k + 0.5) * 10.0 ** (e - 8)
+                ties += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)]
+        ties += [999999999.5 * 10.0 ** j for j in range(-12, 1)]
+        outside = [np.nextafter(1e-4 * 0.9999999995, 0.0), 9.9e-5, 1e-5, 1e-300, 5e-324,
+                   np.nextafter(1e9, 0.0), 1e9, np.nextafter(1e9, np.inf), 3e9, 1e12,
+                   np.inf, -np.inf, np.nan]
+        values = np.array(ties + outside)
+        values = np.concatenate([values, -values])
+        # every suspect value sits in column m1 beside in-domain values, in one block
+        states = np.full((values.size, 4), 2.5)
+        states[:, 2] = values
+        fallbacks = self._count_fallbacks(monkeypatch)
+        written, expected = self._write(tmp_path, states)
+        assert written == expected
+        assert len(fallbacks) == 1
+        # value by value, each is either formatted exactly or refused
+        refused = 0
+        for v in values:
+            text = cli._fast_rows(np.array([[v]]))
+            if text is None:
+                refused += 1
+            else:
+                assert text == "%.9g\n" % v
+        assert refused >= len(outside) * 2
+
+    def test_one_out_of_domain_value_sends_only_its_block_to_the_fallback(
+            self, tmp_path, monkeypatch):
+        # step h = 5e-5: t = h prints as 5e-05, outside fixed notation
+        rows = 3 * cli._CSV_CHUNK_ROWS
+        rng = np.random.default_rng(12)
+        states = rng.uniform(0.5, 40.0, (rows, 4))
+        fallbacks = self._count_fallbacks(monkeypatch)
+        written, expected = self._write(tmp_path, states, step=5e-5)
+        assert written == expected
+        assert len(fallbacks) == 1
+        assert fallbacks[0][1, 0] == 5e-5
+        assert written.splitlines()[2].startswith(b"5e-05,")

@@ -90,6 +90,18 @@ class TestCriticalDelayConstant:
         with pytest.raises(ValueError):
             critical_delay_constant(10.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0])
+    def test_each_rate_must_be_finite_and_positive(self, bad):
+        # the phase function tests the rates inline by chained comparisons,
+        # which NaN must fail like every other invalid value
+        for call in (critical_delay_constant,
+                     lambda lam, mu: ma_threshold_function(1.0, lam, mu)):
+            with pytest.raises(ValueError, match="lam must be finite and > 0"):
+                call(bad, 1.0)
+            with pytest.raises(ValueError, match="mu must be finite and > 0"):
+                call(10.0, bad)
+        assert ma_threshold_function(1.0, 5e-324, 1.7e308) > 0.0
+
 
 class TestResidualConstant:
     def test_zero_delay_root_is_exact(self):
@@ -181,6 +193,19 @@ class TestCriticalDelayMa:
     def test_no_root_cases(self):
         assert critical_delay_ma(4.0, 1.0) == []
         assert critical_delay_ma(10.0, 1.0, bracket=(0.5, 1.5)) == []
+
+    @pytest.mark.parametrize("bracket", [(5.0, 1.0), (math.nan, 5.0), (0.0, math.nan),
+                                         (math.inf, 5.0), (math.nan, math.nan)])
+    def test_invalid_bracket_is_rejected(self, bracket):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            critical_delay_ma(10.0, 1.0, bracket=bracket)
+
+    def test_open_and_degenerate_brackets(self):
+        every = critical_delay_ma(10.0, 1.0)
+        assert critical_delay_ma(10.0, 1.0, bracket=(0.0, math.inf)) == every
+        first = every[0].delta_cr
+        assert critical_delay_ma(10.0, 1.0, bracket=(first, first)) == every[:1]
+        assert critical_delay_ma(10.0, 1.0, bracket=(3.0, 3.0)) == []
 
     def test_threshold_function_domain(self):
         # the phase function lam sin(theta) + 2 mu theta is defined for every
