@@ -22,9 +22,6 @@ from .analysis import (
     sweep,
 )
 from .dde import (
-    DdeSystem,
-    HistoryFunction,
-    IntegrationConfig,
     NumericalFailureError,
     Trajectory,
     integrate,
@@ -34,15 +31,11 @@ from .models import (
     MODEL_KINDS,
     MOVING_AVERAGE,
     ModelParams,
-    constant_delay_history,
     constant_delay_rhs,
-    constant_delay_system,
     default_step,
     equilibrium,
     ma_from_trajectory,
-    ma_history,
     ma_rhs,
-    ma_system,
     mnl_weights,
     simulate,
     simulate_difference,

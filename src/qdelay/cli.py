@@ -262,7 +262,7 @@ def _build_parser() -> _Parser:
     crit.add_argument("--lambda", dest="lam", type=float, required=True)
     crit.add_argument("--mu", type=float, required=True)
     crit.add_argument("--bracket", type=float, nargs=2, default=None,
-                      metavar=("LO", "HI"))
+                      metavar=("LO", "HI"), help="moving-average model only")
 
     curve = sub.add_parser("hopf-curve", help="critical delay vs lambda to CSV")
     add_model(curve)
@@ -307,6 +307,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_critical_delay(args) -> int:
     if args.model == models.CONSTANT:
+        if args.bracket is not None:
+            raise _UsageError("--bracket applies only to the moving-average model")
         point = stability.critical_delay_constant(args.lam, args.mu)
         if point is None:
             print(f"no Hopf bifurcation: lambda <= 2*mu "

@@ -1,7 +1,9 @@
 """Fixed-lag delay differential equation integration by the method of steps.
 
 The integrator advances a d-dimensional system x'(t) = f(t, x(t), x(t - lag))
-with the classical fourth-order Runge-Kutta scheme on a uniform grid.  The
+from a constant history, x(t) = x0 for t <= 0, with the classical
+fourth-order Runge-Kutta scheme on a uniform grid.  The history is node 0
+itself: every lagged read before the grid returns ``states[0]``.  The
 step is shrunk so that the lag is an exact integer multiple of it: lagged
 values needed at node times are then themselves nodes, and lagged
 values at half-step stage times fall at midpoints of segments that are
@@ -19,9 +21,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "DdeSystem",
-    "HistoryFunction",
-    "IntegrationConfig",
     "NumericalFailureError",
     "Trajectory",
     "integrate",
@@ -39,93 +38,37 @@ class NumericalFailureError(RuntimeError):
         self.time = time
 
 
-@dataclass(eq=False)
-class HistoryFunction:
-    """Constant initial condition phi on [-delta, 0], one value per component.
-
-    Evaluation anywhere on the interval returns ``values``; evaluation at
-    t = 0 supplies the integrator's initial state.
-    """
-
-    delta: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("history values must be finite")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError("history delta must be finite and >= 0")
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("constant history needs a 1-d value vector")
-
-    @classmethod
-    def constant(cls, values, delta: float) -> "HistoryFunction":
-        return cls(delta=float(delta), values=np.asarray(values, dtype=float))
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[-1])
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tt = np.atleast_1d(t_arr)
-        tol = 1e-9 * max(1.0, self.delta)
-        if np.any(tt < -self.delta - tol) or np.any(tt > tol):
-            raise ValueError(
-                f"history evaluated outside [{-self.delta:g}, 0]")
-        return self.values.copy() if scalar else np.tile(self.values, (tt.size, 1))
+def _check_lag(lag: float) -> None:
+    if not (math.isfinite(lag) and lag >= 0.0):
+        raise ValueError("lag must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class DdeSystem:
-    """A fixed-lag system x'(t) = rhs(t, x(t), x(t - lag)).
-
-    The right-hand side must be deterministic and side-effect free.
-    """
-
-    dimension: int
-    lag: float
-    rhs: DdeRhs
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("system dimension must be positive")
-        if not (math.isfinite(self.lag) and self.lag >= 0.0):
-            raise ValueError("lag must be finite and >= 0")
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Requested step and horizon."""
-
-    step: float
-    horizon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError("step must be finite and > 0")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError("horizon must be finite and > 0")
-
-
-def lag_grid(lag: float, config: IntegrationConfig) -> tuple[int, float, int]:
+def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     """The integration grid ``(m, h, n)`` for a lag and a requested step.
 
     For a positive lag the effective step is ``h = lag / m`` with
     ``m = ceil(lag / step)``, so the lag is exactly ``m`` steps; at lag 0
     (an ODE) ``m = 0`` and ``h`` is the requested step.  The grid holds the
     nodes ``k * h`` for ``k = 0 .. n``, ``n = floor(horizon / h)``.  Both
-    quotients forgive 1e-9 of rounding.
+    quotients forgive 1e-9 of rounding.  Raises ``ValueError`` unless the
+    lag is finite and >= 0 and the step and horizon are finite and > 0.
     """
+    _check_lag(lag)
+    _check_step(step)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError("horizon must be finite and > 0")
     if lag == 0.0:
         m = 0
-        h = config.step
+        h = step
     else:
-        m = max(1, math.ceil(lag / config.step - 1e-9))
+        m = max(1, math.ceil(lag / step - 1e-9))
         h = lag / m
-    return m, h, int(math.floor(config.horizon / h + 1e-9))
+    return m, h, int(math.floor(horizon / h + 1e-9))
 
 
 def _hermite(theta, h, y0, y1, m0, m1):
@@ -141,13 +84,14 @@ class Trajectory:
 
     ``states[k]`` and ``derivs[k]`` hold x and x' at node time ``k * step``;
     dense evaluation between nodes uses the cubic Hermite interpolant of the
-    bracketing nodes, and delegates to the attached history for t < 0.
+    bracketing nodes.  Before zero the solution is its constant history,
+    ``states[0]``, back to ``-lag``.
     """
 
     step: float
     states: np.ndarray
     derivs: np.ndarray
-    history: HistoryFunction
+    lag: float
     times: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -155,8 +99,8 @@ class Trajectory:
         self.derivs = np.asarray(self.derivs, dtype=float)
         if self.states.ndim != 2 or self.states.shape != self.derivs.shape:
             raise ValueError("states and derivs must be matching (nodes, dim) arrays")
-        if self.step <= 0.0:
-            raise ValueError("step must be > 0")
+        _check_step(self.step)
+        _check_lag(self.lag)
         self.times = np.arange(self.states.shape[0]) * self.step
 
     @property
@@ -168,10 +112,10 @@ class Trajectory:
         return float(self.times[-1])
 
     def eval(self, t):
-        """Dense evaluation at scalar or array times in [-delta, horizon].
+        """Dense evaluation at scalar or array times in [-lag, horizon].
 
         Node times return the stored node state exactly; times before zero
-        are read from the history.
+        return the history, ``states[0]``.
         """
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
@@ -180,10 +124,11 @@ class Trajectory:
         tol = 1e-9 * max(1.0, front)
         if np.any(tt > front + tol):
             raise ValueError(f"dense evaluation beyond the computed front t = {front:g}")
+        if np.any(tt < -self.lag - 1e-9 * max(1.0, self.lag)):
+            raise ValueError(f"dense evaluation before the history start t = {-self.lag:g}")
         out = np.empty((tt.size, self.dimension))
         neg = tt < 0.0
-        if neg.any():
-            out[neg] = self.history(tt[neg])
+        out[neg] = self.states[0]
         pos = ~neg
         if pos.any():
             tp = np.minimum(tt[pos], front)
@@ -208,20 +153,22 @@ class Trajectory:
                 f"step={self.step:g}, horizon={self.horizon:g})")
 
 
-def integrate(system: DdeSystem, history: HistoryFunction,
-              config: IntegrationConfig) -> Trajectory:
+def integrate(rhs: DdeRhs, lag: float, x0, step: float,
+              horizon: float) -> Trajectory:
     """Integrate a fixed-lag DDE with Runge-Kutta 4 and the method of steps.
 
     Parameters
     ----------
-    system : DdeSystem
-        Dimension, lag and right-hand side of the system.
-    history : HistoryFunction
-        Initial condition on [-lag, 0]; its delta must equal the system lag,
-        and its value at 0 is the initial state.
-    config : IntegrationConfig
+    rhs : callable
+        ``rhs(t, x, x_lagged)``, deterministic and side-effect free.
+    lag : float
+        The delay, finite and >= 0; at 0 the system is an ODE.
+    x0 : array_like
+        Finite, non-empty 1-d initial state, which is also the constant
+        history: every lagged value before the grid is ``x0``.
+    step, horizon : float
         Requested step and horizon.  For a positive lag the effective step
-        h' <= step is chosen so lag / h' is an exact integer.
+        h' <= step is chosen so lag / h' is an exact integer (``lag_grid``).
 
     Returns
     -------
@@ -231,28 +178,23 @@ def integrate(system: DdeSystem, history: HistoryFunction,
     Raises
     ------
     ValueError
-        Mismatched lag/dimension or invalid configuration.
+        Invalid initial state, lag, step or horizon.
     NumericalFailureError
         A node or a stage went non-finite; carries the failing time.
     """
-    if history.delta != system.lag:
-        raise ValueError(
-            f"history delta ({history.delta:g}) must equal system lag ({system.lag:g})")
-    if history.dimension != system.dimension:
-        raise ValueError("history dimension must match system dimension")
-
-    rhs = system.rhs
-    m, h, n = lag_grid(system.lag, config)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
+        raise ValueError("x0 must be a finite, non-empty 1-d vector")
+    m, h, n = lag_grid(lag, step, horizon)
     ode = m == 0
-    dim = system.dimension
-    states = np.empty((n + 1, dim))
-    derivs = np.empty((n + 1, dim))
-    states[0] = np.asarray(history(0.0), dtype=float)
+    states = np.empty((n + 1, x0.size))
+    derivs = np.empty((n + 1, x0.size))
+    states[0] = x0
+    x0 = states[0]
 
     def node_lag(j):
-        # lagged state at node time j*h - lag: a node itself
-        i = j - m
-        return states[i] if i >= 0 else history(i * h)
+        # lagged state at node time j*h - lag: a node itself, or the history
+        return states[max(j - m, 0)]
 
     def mid_lag(k):
         # lagged state at (k + 1/2)*h - lag: midpoint of a completed segment
@@ -261,13 +203,9 @@ def integrate(system: DdeSystem, history: HistoryFunction,
             y0 = states[i]
             y1 = states[i + 1]
             return y0 + 0.5 * (y1 - y0) + 0.125 * h * (derivs[i] - derivs[i + 1])
-        return history((i + 0.5) * h)
+        return x0
 
-    x0 = states[0]
-    if ode:
-        derivs[0] = rhs(0.0, x0, x0)
-    else:
-        derivs[0] = rhs(0.0, x0, node_lag(0))
+    derivs[0] = rhs(0.0, x0, x0)
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -310,4 +248,4 @@ def integrate(system: DdeSystem, history: HistoryFunction,
                 raise NumericalFailureError("integration produced a non-finite state",
                                             (k + 1) * h) from None
             raise
-    return Trajectory(step=h, states=states, derivs=derivs, history=history)
+    return Trajectory(step=h, states=states, derivs=derivs, lag=lag)

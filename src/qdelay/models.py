@@ -13,12 +13,18 @@ State layout (plain arrays, as consumed by the integrator):
 * constant-delay model: ``x = (q1, q2)``
 * moving-average model: ``x = (q1, q2, m1, m2)``
 
+Every run starts from constant queue histories ``phi1, phi2``
+(equilibrium +-10% by default), which are also the initial state, node 0
+of the trajectory; the window averages of constant histories are the
+constants themselves, so the moving-average model starts at
+``(phi1, phi2, phi1, phi2)``.
+
 The logit weights of (a, b) sum to one, so ``w1 - w2 = -tanh((a - b) / 2)``,
 and the difference mode ``u = q1 - q2`` obeys an equation of its own, which
 ``simulate_difference`` integrates, while the sum ``s = q1 + q2`` relaxes as
 ``s' = lam - mu s``.  ``simulate`` assembles the full state from the two
-modes; ``simulate_reference`` integrates the full state with ``dde.integrate``
-and the right-hand sides below, and is the oracle for both.
+modes; ``simulate_reference`` passes the right-hand sides below, the delay
+and the node-0 state to ``dde.integrate``, and is the oracle for both.
 """
 
 from __future__ import annotations
@@ -29,30 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import (
-    DdeSystem,
-    HistoryFunction,
-    IntegrationConfig,
-    NumericalFailureError,
-    Trajectory,
-    integrate,
-    lag_grid,
-)
+from .dde import NumericalFailureError, Trajectory, integrate, lag_grid
 
 __all__ = [
     "CONSTANT",
     "MODEL_KINDS",
     "MOVING_AVERAGE",
     "ModelParams",
-    "constant_delay_history",
     "constant_delay_rhs",
-    "constant_delay_system",
     "default_step",
     "equilibrium",
     "ma_from_trajectory",
-    "ma_history",
     "ma_rhs",
-    "ma_system",
     "mnl_weights",
     "simulate",
     "simulate_difference",
@@ -132,53 +126,34 @@ def ma_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarray:
     ])
 
 
-def constant_delay_system(params: ModelParams) -> DdeSystem:
-    return DdeSystem(
-        dimension=2, lag=params.delta,
-        rhs=lambda t, x, xl: constant_delay_rhs(t, x, xl, params))
-
-
-def ma_system(params: ModelParams) -> DdeSystem:
-    if params.delta <= 0.0:
-        raise ValueError(_NEEDS_WINDOW)
-    return DdeSystem(
-        dimension=4, lag=params.delta,
-        rhs=lambda t, x, xl: ma_rhs(t, x, xl, params))
-
-
-def _history_constants(params: ModelParams, phi1, phi2) -> tuple[float, float]:
-    # +-10% of the equilibrium keeps q1 + q2 at its fixed point initially
-    q = equilibrium(params)
-    phi1 = 1.1 * q if phi1 is None else phi1
-    phi2 = 0.9 * q if phi2 is None else phi2
-    for phi in (phi1, phi2):
-        if not (isinstance(phi, numbers.Real) and math.isfinite(phi)):
-            raise ValueError("histories phi1, phi2 must be finite real constants")
-    return float(phi1), float(phi2)
-
-
-def constant_delay_history(params: ModelParams, phi1: float | None = None,
-                           phi2: float | None = None) -> HistoryFunction:
-    """Constant two-component history; defaults to equilibrium +-10%."""
-    return HistoryFunction.constant(_history_constants(params, phi1, phi2), params.delta)
-
-
-def ma_history(params: ModelParams, phi1: float | None = None,
-               phi2: float | None = None) -> HistoryFunction:
-    """Constant four-component history for the moving-average model: the
-    window averages of constant queue histories are the constants themselves."""
-    if params.delta <= 0.0:
-        raise ValueError(_NEEDS_WINDOW)
-    p1, p2 = _history_constants(params, phi1, phi2)
-    return HistoryFunction.constant([p1, p2, p1, p2], params.delta)
-
-
 def default_step(params: ModelParams) -> float:
     """Step resolving both the lag and the relaxation time scale."""
     h = min(0.01, 1.0 / (10.0 * params.mu))
     if params.delta > 0.0:
         h = min(h, params.delta / 20.0)
     return h
+
+
+def _scenario(model: str, params: ModelParams, step, phi1,
+              phi2) -> tuple[float, float, float]:
+    """Validate the inputs shared by the three integrations of a scenario.
+
+    Returns the constant histories ``(phi1, phi2)``, equilibrium +-10% by
+    default, which keep q1 + q2 at its fixed point initially, and the
+    requested step, ``default_step(params)`` by default.
+    """
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {model!r}")
+    if model == MOVING_AVERAGE and params.delta <= 0.0:
+        raise ValueError(_NEEDS_WINDOW)
+    q = equilibrium(params)
+    phi1 = 1.1 * q if phi1 is None else phi1
+    phi2 = 0.9 * q if phi2 is None else phi2
+    for phi in (phi1, phi2):
+        if not (isinstance(phi, numbers.Real) and math.isfinite(phi)):
+            raise ValueError("histories phi1, phi2 must be finite real constants")
+    h = default_step(params) if step is None else float(step)
+    return float(phi1), float(phi2), h
 
 
 def simulate_reference(model: str, params: ModelParams, horizon: float,
@@ -191,20 +166,17 @@ def simulate_reference(model: str, params: ModelParams, horizon: float,
     method of steps, so conservation of ``q1 + q2``, swap symmetry, the
     invariant manifold and the order of the scheme are properties of a
     real integration here, not of how ``simulate`` assembles its states.
-    ``qdelay verify`` and the invariant tests run it.  Arguments are those
-    of ``simulate``; a node or a stage that goes non-finite raises
-    ``NumericalFailureError``.
+    Node 0, ``(phi1, phi2)`` or ``(phi1, phi2, phi1, phi2)``, is also the
+    constant history.  ``qdelay verify`` and the invariant tests run it.
+    Arguments are those of ``simulate``; a node or a stage that goes
+    non-finite raises ``NumericalFailureError``.
     """
+    p1, p2, h = _scenario(model, params, step, phi1, phi2)
     if model == CONSTANT:
-        system = constant_delay_system(params)
-        history = constant_delay_history(params, phi1, phi2)
-    elif model == MOVING_AVERAGE:
-        system = ma_system(params)
-        history = ma_history(params, phi1, phi2)
-    else:
-        raise ValueError(f"unknown model kind: {model!r}")
-    h = default_step(params) if step is None else float(step)
-    return integrate(system, history, IntegrationConfig(step=h, horizon=horizon))
+        return integrate(lambda t, x, xl: constant_delay_rhs(t, x, xl, params),
+                         params.delta, (p1, p2), h, horizon)
+    return integrate(lambda t, x, xl: ma_rhs(t, x, xl, params),
+                     params.delta, (p1, p2, p1, p2), h, horizon)
 
 
 def simulate(model: str, params: ModelParams, horizon: float,
@@ -275,10 +247,8 @@ def simulate(model: str, params: ModelParams, horizon: float,
                                & np.isfinite(derivs).all(axis=1)))
     if bad.size or size <= n:
         raise _failure(int(bad[0]) if bad.size else size, h)
-    history = HistoryFunction.constant((p1, p2) if dim == 2 else (p1, p2, p1, p2),
-                                       params.delta)
-    states[0] = history.values
-    return Trajectory(step=h, states=states, derivs=derivs, history=history)
+    states[0] = (p1, p2, p1, p2)[:dim]
+    return Trajectory(step=h, states=states, derivs=derivs, lag=params.delta)
 
 
 def _split(out: np.ndarray, column: int, total: np.ndarray, diff: np.ndarray) -> None:
@@ -371,13 +341,8 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
     moving-average model, ``[u, u', v]``.  The lists stop early, at
     ``len(u) <= n``, when node ``len(u)`` went non-finite.
     """
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {model!r}")
-    if model == MOVING_AVERAGE and params.delta <= 0.0:
-        raise ValueError(_NEEDS_WINDOW)
-    p1, p2 = _history_constants(params, phi1, phi2)
-    h = default_step(params) if step is None else float(step)
-    m, h, n = lag_grid(params.delta, IntegrationConfig(step=h, horizon=horizon))
+    p1, p2, h = _scenario(model, params, step, phi1, phi2)
+    m, h, n = lag_grid(params.delta, h, horizon)
     if model == MOVING_AVERAGE:
         series = _difference_ma(params, p1 - p2, m, h, n)
     elif m == 0:

@@ -280,7 +280,7 @@ class TestNearThresholdDecay:
         for horizon in (300.0, 1000.0, 2000.0):
             n = int(math.floor(horizon / full.step + 1e-9)) + 1
             traj = Trajectory(step=full.step, states=full.states[:n],
-                              derivs=full.derivs[:n], history=full.history)
+                              derivs=full.derivs[:n], lag=full.lag)
             v = classify_stability(traj, 0.5, eps_sync, eps_osc)
             verdicts[horizon] = v
             assert not v.growing

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qdelay import HistoryFunction, ModelParams, Trajectory, cli, simulate
+from qdelay import ModelParams, Trajectory, cli, simulate
 from qdelay.cli import run, write_trajectory_csv
 
 
@@ -112,6 +112,15 @@ class TestCriticalDelayCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bracket must satisfy lo <= hi")
+
+    @pytest.mark.parametrize("bracket", [["1", "2"], ["5", "1"], ["0", "inf"]])
+    def test_constant_bracket_is_usage_error(self, capsys, bracket):
+        # the constant threshold is closed-form; a bracket would be ignored
+        assert run(["critical-delay", "--model", "constant",
+                    "--lambda", "10", "--mu", "1", "--bracket", *bracket]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --bracket applies only to the moving-average model\n"
 
 
 class TestHopfCurveCommand:
@@ -253,8 +262,7 @@ class TestTrajectoryCsv:
         states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 301, (rows, dim))
         states[:6, 0] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300]
         states[6:9, -1] = [-1.0, 123456789.5, -2.5e-7]
-        traj = Trajectory(step=0.01, states=states, derivs=np.zeros_like(states),
-                          history=HistoryFunction.constant(states[0], 0.0))
+        traj = Trajectory(step=0.01, states=states, derivs=np.zeros_like(states), lag=0.0)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, model, str(out))
         header = "t,q1,q2" if dim == 2 else "t,q1,q2,m1,m2"
@@ -305,8 +313,7 @@ class TestFastRows:
 
     @staticmethod
     def _write(tmp_path, states, step=0.01):
-        traj = Trajectory(step=step, states=states, derivs=np.zeros_like(states),
-                          history=HistoryFunction.constant(states[0], 0.0))
+        traj = Trajectory(step=step, states=states, derivs=np.zeros_like(states), lag=0.0)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, "moving-average", str(out))
         expected = "t,q1,q2,m1,m2\n" + _percent_text(np.column_stack((traj.times, states)))

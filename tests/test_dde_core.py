@@ -5,57 +5,69 @@ collapse to a scalar linear ODE, manufactured cubics), never from the code
 under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from qdelay import (
-    DdeSystem,
-    HistoryFunction,
-    IntegrationConfig,
-    NumericalFailureError,
-    Trajectory,
-    integrate,
-    models,
-)
+from qdelay import NumericalFailureError, Trajectory, integrate, models
 from qdelay.dde import lag_grid
 
 
 def _constant_scenario(lam=10.0, mu=1.0, delta=0.4, phi=(5.5, 4.5)):
+    """Parameters, right-hand side and initial state of the constant model."""
     params = models.ModelParams(lam=lam, mu=mu, delta=delta)
-    system = models.constant_delay_system(params)
-    history = HistoryFunction.constant(list(phi), delta)
-    return params, system, history
+
+    def rhs(t, x, xl):
+        return models.constant_delay_rhs(t, x, xl, params)
+
+    return params, rhs, phi
+
+
+def _integrate(step, horizon, **scenario):
+    params, rhs, x0 = _constant_scenario(**scenario)
+    return integrate(rhs, params.delta, x0, step, horizon)
 
 
 class TestHistoryFunction:
+    """The constant history is node 0, read back by ``eval`` on [-lag, 0)."""
+
     def test_constant_eval(self):
-        hist = HistoryFunction.constant([5.0, 4.0], 0.4)
-        np.testing.assert_array_equal(hist(-0.2), [5.0, 4.0])
-        np.testing.assert_array_equal(hist(0.0), [5.0, 4.0])
-        assert hist.dimension == 2
+        traj = _integrate(0.01, 1.0, phi=(5.0, 4.0))
+        np.testing.assert_array_equal(traj.eval(-0.2), [5.0, 4.0])
+        np.testing.assert_array_equal(traj.eval(-0.4), [5.0, 4.0])
+        np.testing.assert_array_equal(traj.eval(0.0), [5.0, 4.0])
+        np.testing.assert_array_equal(traj.states[0], [5.0, 4.0])
+        assert traj.eval(-0.2).shape == (2,)
 
     def test_array_evaluation(self):
-        hist = HistoryFunction.constant([3.0], 1.0)
-        out = hist(np.array([-1.0, -0.5, 0.0]))
+        h = 0.25
+        traj = Trajectory(step=h, states=np.arange(5.0)[:, None] + 3.0,
+                          derivs=np.ones((5, 1)), lag=1.0)
+        out = traj.eval(np.array([-1.0, -0.5, -1e-12]))
         assert out.shape == (3, 1)
         np.testing.assert_array_equal(out, 3.0)
+        grid = traj.eval(np.array([[-1.0, -0.5], [0.0, 1.0]]))
+        assert grid.shape == (2, 2, 1)
+        np.testing.assert_array_equal(grid[..., 0], [[3.0, 3.0], [3.0, 7.0]])
 
     def test_out_of_range_raises(self):
-        hist = HistoryFunction.constant([5.0], 0.4)
+        traj = _integrate(0.01, 1.0, delta=0.4)
+        traj.eval(-0.4 - 1e-12)  # within the rounding forgiven at -lag
+        for t in (-0.5, -0.4 - 1e-6, np.array([0.5, -0.41])):
+            with pytest.raises(ValueError, match="before the history start"):
+                traj.eval(t)
+        ode = _integrate(0.01, 1.0, delta=0.0)
+        np.testing.assert_array_equal(ode.eval(-1e-12), ode.states[0])
         with pytest.raises(ValueError):
-            hist(-0.5)
-        with pytest.raises(ValueError):
-            hist(0.1)
+            ode.eval(-0.01)
 
     def test_validation(self):
-        with pytest.raises(ValueError):  # non-finite values
-            HistoryFunction.constant([np.inf], 1.0)
-        with pytest.raises(ValueError):  # negative delta
-            HistoryFunction.constant([1.0], -0.5)
-        with pytest.raises(ValueError):  # no components
-            HistoryFunction.constant([], 1.0)
-        with pytest.raises(ValueError):  # not a constant per component
-            HistoryFunction.constant(np.zeros((2, 1)), 1.0)
+        # non-finite values, no components, not one constant per component
+        params, rhs, _ = _constant_scenario()
+        for x0 in ([np.inf, 5.0], [5.0, np.nan], [], np.full((2, 1), 5.0), 5.0):
+            with pytest.raises(ValueError, match="x0 must be a finite, non-empty 1-d vector"):
+                integrate(rhs, params.delta, x0, 0.01, 1.0)
 
 
 class TestLagGrid:
@@ -69,15 +81,31 @@ class TestLagGrid:
         (0.0, 0.1, 0.3, (0, 0.1, 3)),           # 0.3 / 0.1 rounds down past 3
     ])
     def test_grid(self, lag, step, horizon, expected):
-        m, h, n = lag_grid(lag, IntegrationConfig(step=step, horizon=horizon))
+        m, h, n = lag_grid(lag, step, horizon)
         assert (m, h, n) == expected
+
+    @pytest.mark.parametrize("lag,step,horizon,message", [
+        (-0.1, 0.01, 1.0, "lag must be finite and >= 0"),
+        (np.inf, 0.01, 1.0, "lag must be finite and >= 0"),
+        (np.nan, 0.01, 1.0, "lag must be finite and >= 0"),
+        (0.4, 0.0, 1.0, "step must be finite and > 0"),
+        (0.4, -0.01, 1.0, "step must be finite and > 0"),
+        (0.4, np.nan, 1.0, "step must be finite and > 0"),
+        (0.0, np.inf, 1.0, "step must be finite and > 0"),
+        (0.4, 0.01, 0.0, "horizon must be finite and > 0"),
+        (0.4, 0.01, -1.0, "horizon must be finite and > 0"),
+        (0.4, 0.01, np.inf, "horizon must be finite and > 0"),
+        (0.4, 0.01, np.nan, "horizon must be finite and > 0"),
+    ])
+    def test_rejects_bad_inputs(self, lag, step, horizon, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lag_grid(lag, step, horizon)
 
 
 class TestIntegrate:
     def test_fixed_point_stays_exact(self):
         # 5 = lam / (2 mu) is the fixed point, and the arithmetic keeps it
-        params, system, history = _constant_scenario(phi=(5.0, 5.0))
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=20.0))
+        traj = _integrate(0.01, 20.0, phi=(5.0, 5.0))
         np.testing.assert_array_equal(traj.states, 5.0)
 
     @pytest.mark.parametrize("delta", [0.0, 0.13, 0.4, 1.7])
@@ -85,15 +113,13 @@ class TestIntegrate:
         # identical histories collapse both components onto
         # q(t) = lam/2mu + (c - lam/2mu) e^(-mu t)
         c = 8.0
-        params, system, history = _constant_scenario(delta=delta, phi=(c, c))
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=20.0))
+        traj = _integrate(0.01, 20.0, delta=delta, phi=(c, c))
         exact = 5.0 + (c - 5.0) * np.exp(-traj.times)
         np.testing.assert_allclose(traj.states[:, 0], exact, atol=1e-6, rtol=0.0)
         np.testing.assert_allclose(traj.states[:, 1], exact, atol=1e-6, rtol=0.0)
 
     def test_supercritical_delay_sustains_oscillation(self):
-        params, system, history = _constant_scenario(delta=0.4)
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=100.0))
+        traj = _integrate(0.01, 100.0, delta=0.4)
         diff = traj.states[:, 0] - traj.states[:, 1]
         n = diff.size
         tail = diff[n // 2:]
@@ -104,44 +130,42 @@ class TestIntegrate:
 
     def test_lag_alignment_shrinks_step(self):
         # a step above the lag shrinks to the lag itself
-        params, system, history = _constant_scenario(delta=0.5)
         for step in (0.013, 0.7):
-            traj = integrate(system, history, IntegrationConfig(step=step, horizon=5.0))
+            traj = _integrate(step, 5.0, delta=0.5)
             assert traj.step <= step
             ratio = 0.5 / traj.step
             assert abs(ratio - round(ratio)) < 1e-9
+            assert traj.lag == 0.5
         assert traj.step == 0.5
 
     def test_node_count(self):
-        params, system, history = _constant_scenario(delta=0.4)
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=7.0))
+        traj = _integrate(0.01, 7.0, delta=0.4)
         assert traj.states.shape == (701, 2)
         assert traj.times[-1] == pytest.approx(7.0)
 
     def test_node_derivatives_match_rhs(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=3.0))
+        params, rhs, x0 = _constant_scenario()
+        traj = integrate(rhs, params.delta, x0, 0.01, 3.0)
         m = round(params.delta / traj.step)
         for k in (0, 1, m - 1, m, m + 1, 200, 300):
             t = traj.times[k]
-            lagged = traj.states[k - m] if k - m >= 0 else history((k - m) * traj.step)
+            # before the grid the lagged state is the history, node 0
+            lagged = traj.states[max(k - m, 0)]
             expected = models.constant_delay_rhs(t, traj.states[k], lagged, params)
             np.testing.assert_array_equal(traj.derivs[k], expected)
+        np.testing.assert_array_equal(traj.states[0], x0)
 
     def test_determinism_bitwise(self):
-        params, system, history = _constant_scenario()
-        config = IntegrationConfig(step=0.01, horizon=50.0)
-        a = integrate(system, history, config)
-        b = integrate(system, history, config)
+        a = _integrate(0.01, 50.0)
+        b = _integrate(0.01, 50.0)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.derivs, b.derivs)
 
     def test_fourth_order_convergence(self):
         # symmetric case has a closed form; halving h cuts the error ~16x
-        params, system, history = _constant_scenario(phi=(7.0, 7.0))
 
         def max_err(h):
-            traj = integrate(system, history, IntegrationConfig(step=h, horizon=4.0))
+            traj = _integrate(h, 4.0, phi=(7.0, 7.0))
             exact = 5.0 + 2.0 * np.exp(-traj.times)
             return np.max(np.abs(traj.states[:, 0] - exact))
 
@@ -150,35 +174,29 @@ class TestIntegrate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_raises_with_time(self):
-        system = DdeSystem(dimension=1, lag=0.0, rhs=lambda t, x, xl: x * x)
-        history = HistoryFunction.constant([5.0], 0.0)
         with pytest.raises(NumericalFailureError) as info:
-            integrate(system, history, IntegrationConfig(step=0.05, horizon=5.0))
+            integrate(lambda t, x, xl: x * x, 0.0, [5.0], 0.05, 5.0)
         assert 0.0 < info.value.time <= 5.0
 
-    def test_mismatched_lag_raises(self):
-        params, system, _ = _constant_scenario(delta=0.4)
-        history = HistoryFunction.constant([5.0, 5.0], 0.3)
-        with pytest.raises(ValueError):
-            integrate(system, history, IntegrationConfig(step=0.01, horizon=1.0))
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegrationConfig(step=0.0, horizon=1.0)
-        with pytest.raises(ValueError):
-            IntegrationConfig(step=0.1, horizon=-1.0)
+        # lag_grid checks the grid inputs before anything is integrated
+        params, rhs, x0 = _constant_scenario()
+        for lag, step, horizon in ((0.4, 0.0, 1.0), (0.4, 0.1, -1.0), (-0.4, 0.1, 1.0),
+                                   (0.0, np.nan, 1.0), (0.4, 0.1, np.inf)):
+            with pytest.raises(ValueError) as info:
+                integrate(rhs, lag, x0, step, horizon)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
+                lag_grid(lag, step, horizon)
 
 
 class TestDenseEval:
     def test_node_times_return_stored_states(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=5.0))
+        traj = _integrate(0.01, 5.0)
         for k in (0, 1, 77, 250, 500):
             np.testing.assert_array_equal(traj.eval(traj.times[k]), traj.states[k])
 
     def test_constant_trajectory_exact_everywhere(self):
-        params, system, history = _constant_scenario(phi=(5.0, 5.0))
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=5.0))
+        traj = _integrate(0.01, 5.0, phi=(5.0, 5.0))
         rng = np.random.default_rng(7)
         ts = rng.uniform(0.0, traj.horizon, 64)
         np.testing.assert_array_equal(traj.eval(ts), 5.0)
@@ -190,21 +208,19 @@ class TestDenseEval:
         traj = Trajectory(step=h,
                           states=(ts ** 3 - ts)[:, None],
                           derivs=(3.0 * ts ** 2 - 1.0)[:, None],
-                          history=HistoryFunction.constant([0.0], 0.0))
+                          lag=0.0)
         tq = np.linspace(0.01, 3.99, 313)
         err = np.max(np.abs(traj.eval(tq)[:, 0] - (tq ** 3 - tq)))
         assert err < 1e-12
 
     def test_history_delegation_and_zero_consistency(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=5.0))
-        np.testing.assert_array_equal(traj.eval(-0.25), history(-0.25))
+        traj = _integrate(0.01, 5.0, phi=(5.5, 4.5))
+        np.testing.assert_array_equal(traj.eval(-0.25), [5.5, 4.5])
         # t = 0- (history) and t = 0 (trajectory) agree for constant histories
         np.testing.assert_array_equal(traj.eval(-1e-12), traj.eval(0.0))
 
     def test_beyond_front_raises(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=5.0))
+        traj = _integrate(0.01, 5.0)
         with pytest.raises(ValueError):
             traj.eval(5.1)
         with pytest.raises(ValueError):
@@ -212,14 +228,24 @@ class TestDenseEval:
 
     def test_midpoint_accuracy_on_smooth_solution(self):
         # dense output between nodes stays 4th-order accurate
-        params, system, history = _constant_scenario(delta=0.4, phi=(8.0, 8.0))
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=5.0))
+        traj = _integrate(0.01, 5.0, delta=0.4, phi=(8.0, 8.0))
         ts = np.linspace(0.005, 4.995, 500)
         exact = 5.0 + 3.0 * np.exp(-ts)
         assert np.max(np.abs(traj.eval(ts)[:, 0] - exact)) < 1e-6
 
     def test_scalar_and_array_shapes(self):
-        params, system, history = _constant_scenario()
-        traj = integrate(system, history, IntegrationConfig(step=0.01, horizon=1.0))
+        traj = _integrate(0.01, 1.0)
         assert traj.eval(0.5).shape == (2,)
         assert traj.eval(np.array([0.1, 0.2, 0.3])).shape == (3, 2)
+        assert traj.eval(-0.1).shape == (2,)
+        assert traj.eval(np.array([-0.3, -0.1, 0.5])).shape == (3, 2)
+
+    @pytest.mark.parametrize("step,lag,message", [
+        (np.nan, 0.0, "step"), (np.inf, 0.0, "step"), (0.0, 0.0, "step"),
+        (-0.1, 0.0, "step"), (0.1, np.nan, "lag"), (0.1, np.inf, "lag"),
+        (0.1, -0.5, "lag"),
+    ])
+    def test_trajectory_validation(self, step, lag, message):
+        with pytest.raises(ValueError, match=f"^{message} must be finite"):
+            Trajectory(step=step, states=np.zeros((3, 1)), derivs=np.zeros((3, 1)),
+                       lag=lag)

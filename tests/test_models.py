@@ -10,16 +10,13 @@ import pytest
 from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
-    HistoryFunction,
     ModelParams,
     NumericalFailureError,
     Trajectory,
     analysis,
-    constant_delay_history,
     constant_delay_rhs,
     equilibrium,
     ma_from_trajectory,
-    ma_history,
     ma_rhs,
     mnl_weights,
     models,
@@ -147,23 +144,27 @@ class TestMaRhs:
         p = ModelParams(10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             ma_rhs(0.0, np.full(4, 5.0), np.full(4, 5.0), p)
-        with pytest.raises(ValueError):
-            models.ma_system(p)
-        with pytest.raises(ValueError):
-            simulate(MOVING_AVERAGE, p, horizon=1.0)
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError):
+                run(MOVING_AVERAGE, p, horizon=1.0)
 
 
 class TestHistories:
+    """The constant history is the initial state, node 0."""
+
     def test_default_offsets_are_ten_percent(self):
         p = ModelParams(10.0, 1.0, 0.4)
-        hist = constant_delay_history(p)
-        np.testing.assert_array_equal(hist(0.0), [5.5, 4.5])
+        for model in (CONSTANT, MOVING_AVERAGE):
+            traj = simulate_reference(model, p, horizon=1.0)
+            np.testing.assert_array_equal(traj.states[0, :2], [1.1 * 5.0, 0.9 * 5.0])
+            np.testing.assert_array_equal(traj.eval(-0.4), traj.states[0])
 
     def test_ma_constant_history_replicates_phi(self):
         p = ModelParams(10.0, 1.0, 2.0)
-        hist = ma_history(p, 6.0, 4.0)
-        np.testing.assert_array_equal(hist(0.0), [6.0, 4.0, 6.0, 4.0])
-        np.testing.assert_array_equal(hist(-2.0), [6.0, 4.0, 6.0, 4.0])
+        traj = simulate_reference(MOVING_AVERAGE, p, 1.0, phi1=6.0, phi2=4.0)
+        np.testing.assert_array_equal(traj.states[0], [6.0, 4.0, 6.0, 4.0])
+        np.testing.assert_array_equal(traj.eval(-2.0), [6.0, 4.0, 6.0, 4.0])
+        np.testing.assert_array_equal(traj.eval(-0.5), [6.0, 4.0, 6.0, 4.0])
 
 
 class TestConservation:
@@ -228,8 +229,7 @@ class TestMaFromTrajectory:
         # q(s) = s has window average t - delta/2; trapezoid is exact on lines
         h = 0.1
         ts = np.arange(51) * h
-        traj = Trajectory(step=h, states=ts[:, None], derivs=np.ones((51, 1)),
-                          history=HistoryFunction.constant([0.0], 0.0))
+        traj = Trajectory(step=h, states=ts[:, None], derivs=np.ones((51, 1)), lag=0.0)
         for t, delta in ((1.0, 0.7), (3.0, 2.0), (5.0, 1.3)):
             got = ma_from_trajectory(traj, t, delta)
             assert got[0] == pytest.approx(t - delta / 2.0, abs=1e-12)
@@ -288,8 +288,9 @@ class TestSimulate:
         ref = simulate_reference(model, p, horizon, step=step, phi1=phi1, phi2=phi2)
         assert traj.step == ref.step
         np.testing.assert_array_equal(traj.times, ref.times)
-        np.testing.assert_array_equal(traj.history.values, ref.history.values)
+        assert traj.lag == ref.lag == delta
         np.testing.assert_array_equal(traj.states[0], ref.states[0])
+        np.testing.assert_array_equal(traj.eval(-delta), ref.eval(-delta))
         scale = 1e-12 * equilibrium(p)
         assert np.max(np.abs(traj.states - ref.states)) <= scale
         assert np.max(np.abs(traj.derivs - ref.derivs)) <= scale
@@ -355,7 +356,7 @@ class TestSimulateDifference:
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)
         with pytest.raises(ValueError) as expected:
-            models.ma_system(p)
+            simulate_reference(MOVING_AVERAGE, p, 1.0)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             simulate_difference(MOVING_AVERAGE, p, 1.0)
         p = ModelParams(10.0, 1.0, 2.0)
