@@ -48,6 +48,12 @@ def _check_step(step: float) -> None:
         raise ValueError("step must be finite and > 0")
 
 
+# Kernels and the integrator store every node, so a far larger grid would
+# exhaust memory before it finished; the costliest sweep cells, constant
+# model at lam/mu = 1000 near its threshold, hold about 1.3 million.
+_MAX_NODES = 10_000_000
+
+
 def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     """The integration grid ``(m, h, n)`` for a lag and a requested step.
 
@@ -56,7 +62,8 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     (an ODE) ``m = 0`` and ``h`` is the requested step.  The grid holds the
     nodes ``k * h`` for ``k = 0 .. n``, ``n = floor(horizon / h)``.  Both
     quotients forgive 1e-9 of rounding.  Raises ``ValueError`` unless the
-    lag is finite and >= 0 and the step and horizon are finite and > 0.
+    lag is finite and >= 0, the step and horizon are finite and > 0, and
+    the grid holds at most 10^7 nodes.
     """
     _check_lag(lag)
     _check_step(step)
@@ -68,7 +75,11 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     else:
         m = max(1, math.ceil(lag / step - 1e-9))
         h = lag / m
-    return m, h, int(math.floor(horizon / h + 1e-9))
+    steps = horizon / h + 1e-9
+    if not steps < _MAX_NODES:
+        raise ValueError(f"the grid needs {steps + 1.0:.8g} nodes, "
+                         f"more than the {_MAX_NODES} allowed")
+    return m, h, int(steps)
 
 
 def _hermite(theta, h, y0, y1, m0, m1):
@@ -99,6 +110,8 @@ class Trajectory:
         self.derivs = np.asarray(self.derivs, dtype=float)
         if self.states.ndim != 2 or self.states.shape != self.derivs.shape:
             raise ValueError("states and derivs must be matching (nodes, dim) arrays")
+        if self.states.shape[0] == 0:
+            raise ValueError("states must be non-empty: node 0 is the history")
         _check_step(self.step)
         _check_lag(self.lag)
         self.times = np.arange(self.states.shape[0]) * self.step
@@ -120,6 +133,8 @@ class Trajectory:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tt = np.atleast_1d(t_arr).ravel()
+        if np.isnan(tt).any():
+            raise ValueError("dense evaluation at a NaN time")
         front = self.times[-1]
         tol = 1e-9 * max(1.0, front)
         if np.any(tt > front + tol):

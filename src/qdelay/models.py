@@ -188,11 +188,30 @@ def simulate(model: str, params: ModelParams, horizon: float,
     its own, ``s' = lam - mu s``, and the delayed choice acts only on the
     difference ``u = q1 - q2``.  ``simulate`` runs the difference-mode
     kernel of ``simulate_difference`` once and adds the sum mode exactly:
-    RK4 on ``s' = lam - mu s`` is ``s_k = lam/mu + (s_0 - lam/mu) R(-mu h)^k``
-    with RK4's amplification factor ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``.
+    RK4 on ``s' = lam - mu s`` is ``s_k = lam/mu + c R^k`` with
+    ``c = s_0 - lam/mu`` and RK4's amplification factor ``R = R(z)``,
+    ``z = -mu h``, ``R(z) = 1 + r``, ``r = z (1 + z (1/2 + z (1/6 + z/24)))``.
+
     For the moving-average model the window total ``M = m1 + m2`` obeys
-    ``M' = (s(t) - s(t - delta)) / delta``; its RK4 steps, with the Hermite
-    midpoint for the lagged ``s``, are summed over the grid at once.  Then
+    ``M' = (s(t) - s(t - delta)) / delta``, driven by ``s`` alone, so its
+    RK4 steps sum in closed form.  In step ``k`` the four stage values of
+    ``s`` add up, with RK4's weights, to ``6 lam/mu + (6 r / z) c R^k``; the
+    lagged reads (the lagged nodes and twice the Hermite midpoint of the
+    lagged segment) to ``6 lam/mu + c A_k``, with ``A_k = 6`` while they
+    read the history, ``k < m``, and ``A_k = (6 + 3 r - z r / 2) R^(k-m)``
+    after.  The increment ``(h c / (6 delta)) ((6 r / z) R^k - A_k)`` is
+    geometric; summing it over the first ``k`` steps, splitting
+    ``R^k - 1 = (R^k - R^j) + (R^j - 1)`` with ``j = max(k - m, 0)``, and
+    as ``6 r - z (6 + 3 r - z r / 2) = -z^5 (2 - z) / 48``::
+
+        M_k  = s_0 - M'_k / mu - (h c / delta) (min(k, m)
+                                 + z^4 (2 - z) / 288 * (R^j - 1) / r)
+        M'_k = c (R^k - R^j) / delta = c R^j expm1(min(k, m) log R) / delta
+
+    and ``v' = (u_k - u_j) / delta``.  The powers are ``R^j = exp(j log R)``
+    and ``R^j - 1 = expm1(j log R)`` with ``log R = log1p(r)`` (``R(z) > 0``
+    for every real z), so no term is a difference of nearly equal powers
+    and ``M`` carries no rounding of ``R`` itself.  Then
     ``q1, q2 = (s +- u) / 2`` and ``m1, m2 = (M +- v) / 2``, and the node
     derivatives likewise, so dense output stays cubic Hermite and the
     trajectory equals ``simulate_reference`` up to rounding, on identical
@@ -227,22 +246,29 @@ def simulate(model: str, params: ModelParams, horizon: float,
     size = u.size
     lam, mu = params.lam, params.mu
     s0, s_inf = p1 + p2, lam / mu
+    c = s0 - s_inf
     z = -mu * h
-    amplification = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    r = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
     dim = 2 if model == CONSTANT else 4
     states = np.empty((size, dim))
     derivs = np.empty((size, dim))
     # an overflow is reported as a NumericalFailureError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s = s_inf + (s0 - s_inf) * amplification ** np.arange(size)
+        s = s_inf + c * (1.0 + r) ** np.arange(size)
         s[0] = s0
-        ds = lam - mu * s
         _split(states, 0, s, u)
-        _split(derivs, 0, ds, du)
+        _split(derivs, 0, lam - mu * s, du)
         if model == MOVING_AVERAGE:
-            total, d_total, dv = _window_modes(params, m, h, s, ds, u, p1 - p2)
+            inv = 1.0 / params.delta
+            log_amp = math.log1p(r)
+            lead = np.minimum(np.arange(size), m)
+            j = np.arange(size) - lead
+            j_log = j * log_amp
+            d_total = (c * inv) * np.exp(j_log) * np.expm1(lead * log_amp)
+            total = s0 - d_total / mu - (h * c * inv) * (
+                lead + (z ** 4 * (2.0 - z) / 288.0) * (np.expm1(j_log) / r))
             _split(states, 2, total, series[2])
-            _split(derivs, 2, d_total, dv)
+            _split(derivs, 2, d_total, (u - u[j]) * inv)
         bad = np.flatnonzero(~(np.isfinite(states).all(axis=1)
                                & np.isfinite(derivs).all(axis=1)))
     if bad.size or size <= n:
@@ -256,49 +282,6 @@ def _split(out: np.ndarray, column: int, total: np.ndarray, diff: np.ndarray) ->
     half_total, half_diff = 0.5 * total, 0.5 * diff
     np.add(half_total, half_diff, out=out[:, column])
     np.subtract(half_total, half_diff, out=out[:, column + 1])
-
-
-def _node_lag(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """``x`` at each node time minus the lag of m steps; the constant
-    history ``x0`` where that time precedes the grid."""
-    head = min(m, x.size)
-    return np.concatenate((np.full(head, x0), x[:x.size - head]))
-
-
-def _window_modes(params: ModelParams, m: int, h: float, s: np.ndarray,
-                  ds: np.ndarray, u: np.ndarray,
-                  u0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window total ``M = m1 + m2`` and the derivatives of ``M`` and ``v``
-    on the nodes of ``s``.
-
-    ``M`` takes the RK4 steps of the full-state integrator on
-    ``M' = (s(t) - s(t - delta)) / delta``: the stages of ``s`` within each
-    step, the lagged node values, and the Hermite midpoint of the lagged
-    segment (the history value before the grid), with the increments
-    summed in node order.
-    """
-    inv = 1.0 / params.delta
-    lam, mu = params.lam, params.mu
-    half = 0.5 * h
-    s0 = float(s[0])
-    s_lag = _node_lag(s, s0, m)
-    d_total = (s - s_lag) * inv
-    dv = (u - _node_lag(u, u0, m)) * inv
-    steps = s.size - 1
-    x, k1 = s[:-1], ds[:-1]
-    k2 = lam - mu * (x + half * k1)
-    k3 = lam - mu * (x + half * k2)
-    mid = np.full(steps, s0)
-    if steps > m:
-        j = steps - m
-        y0, y1 = s[:j], s[1:j + 1]
-        mid[m:] = y0 + 0.5 * (y1 - y0) + 0.125 * h * (ds[:j] - ds[1:j + 1])
-    increments = (h / 6.0) * (d_total[:-1]
-                              + 2.0 * ((x + half * k1 - mid) * inv
-                                       + (x + half * k2 - mid) * inv)
-                              + (x + h * k3 - s_lag[1:]) * inv)
-    total = np.cumsum(np.concatenate(([s0], increments)))
-    return total, d_total, dv
 
 
 def simulate_difference(model: str, params: ModelParams, horizon: float,

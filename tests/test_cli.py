@@ -179,6 +179,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "numerical failure: integration produced a non-finite state (t = 58)\n"
 
+    def test_grid_beyond_the_node_budget_is_usage_error(self, capsys):
+        # the default step here is 5e-302: refused before any node is stored
+        assert run(["simulate", "--model", "moving-average", "--lambda", "10",
+                    "--mu", "1", "--delta", "1e-300", "--horizon", "1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: the grid needs 2e+301 nodes, more than the 10000000 allowed\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out

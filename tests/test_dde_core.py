@@ -101,6 +101,19 @@ class TestLagGrid:
         with pytest.raises(ValueError, match=f"^{message}$"):
             lag_grid(lag, step, horizon)
 
+    @pytest.mark.parametrize("lag,step,horizon,nodes", [
+        (0.0, 1.0, 1e7, "10000001"),            # one node past the budget
+        (1e-300, 5e-302, 1.0, r"2e\+301"),      # a tiny lag shrinks the step
+        (0.0, 1e-300, 1e300, "inf"),            # horizon / step overflows
+    ])
+    def test_rejects_grids_beyond_the_node_budget(self, lag, step, horizon, nodes):
+        with pytest.raises(ValueError, match=f"^the grid needs {nodes} nodes, "
+                                             "more than the 10000000 allowed$"):
+            lag_grid(lag, step, horizon)
+
+    def test_node_budget_is_inclusive(self):
+        assert lag_grid(0.0, 1.0, 9999999.0) == (0, 1.0, 9999999)
+
 
 class TestIntegrate:
     def test_fixed_point_stays_exact(self):
@@ -226,6 +239,14 @@ class TestDenseEval:
         with pytest.raises(ValueError):
             traj.eval(-1.0)
 
+    def test_nan_time_raises(self):
+        # NaN passes both range checks, which compare false on it
+        traj = Trajectory(step=0.1, states=np.ones((3, 1)), derivs=np.zeros((3, 1)),
+                          lag=0.0)
+        for t in (np.nan, np.array([0.05, np.nan]), np.array([[np.nan]])):
+            with pytest.raises(ValueError, match="^dense evaluation at a NaN time$"):
+                traj.eval(t)
+
     def test_midpoint_accuracy_on_smooth_solution(self):
         # dense output between nodes stays 4th-order accurate
         traj = _integrate(0.01, 5.0, delta=0.4, phi=(8.0, 8.0))
@@ -243,9 +264,11 @@ class TestDenseEval:
     @pytest.mark.parametrize("step,lag,message", [
         (np.nan, 0.0, "step"), (np.inf, 0.0, "step"), (0.0, 0.0, "step"),
         (-0.1, 0.0, "step"), (0.1, np.nan, "lag"), (0.1, np.inf, "lag"),
-        (0.1, -0.5, "lag"),
+        (0.1, -0.5, "lag"), (0.1, 0.0, "states"),
     ])
     def test_trajectory_validation(self, step, lag, message):
-        with pytest.raises(ValueError, match=f"^{message} must be finite"):
-            Trajectory(step=step, states=np.zeros((3, 1)), derivs=np.zeros((3, 1)),
-                       lag=lag)
+        # "states": a trajectory without node 0, which horizon, repr and eval read
+        nodes, reason = (0, "non-empty") if message == "states" else (3, "finite")
+        with pytest.raises(ValueError, match=f"^{message} must be {reason}"):
+            Trajectory(step=step, states=np.zeros((nodes, 1)),
+                       derivs=np.zeros((nodes, 1)), lag=lag)

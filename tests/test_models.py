@@ -280,6 +280,8 @@ class TestSimulate:
         (MOVING_AVERAGE, 10.0, 1.0, 2.0, 2.5, None, (6.0, 3.0)),   # history phase
         (MOVING_AVERAGE, 10.0, 1.0, 4.0, 100.0, None, (6.0, 4.5)),  # s(0) != lam/mu
         (MOVING_AVERAGE, 100.0, 1.0, 0.15, 50.0, None, (60.0, 10.0)),
+        (MOVING_AVERAGE, 10.0, 1.0, 2.0, 1.0, None, (6.0, 3.0)),   # inside one lag
+        (MOVING_AVERAGE, 1000.0, 1.0, 50.0, 120.0, None, (700.0, 200.0)),  # m = 5000
     ])
     def test_matches_reference(self, model, lam, mu, delta, horizon, step, phi):
         p = ModelParams(lam, mu, delta)
