@@ -50,6 +50,7 @@ from .stability import (
     critical_delay_ma,
     crossing_rate,
     hopf_curve,
+    hopf_points,
     ma_candidate_roots,
     ma_threshold_function,
     root_track,

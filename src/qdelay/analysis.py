@@ -222,21 +222,9 @@ def conservation_check(traj: Trajectory, params: models.ModelParams) -> float:
     return float(np.max(np.abs(s - target)))
 
 
-def _hopf_points(model: str, lam: float, mu: float,
-                 delta_max: float = 0.0) -> list[stability.HopfPoint]:
-    """Hopf points of (lam, mu) in increasing delay: every one at or below
-    ``delta_max``, and always the smallest."""
-    if model == models.CONSTANT:
-        point = stability.critical_delay_constant(lam, mu)
-        return [] if point is None else [point]
-    if model == models.MOVING_AVERAGE:
-        return stability._ma_points_through(lam, mu, delta_max)
-    raise ValueError(f"unknown model kind: {model!r}")
-
-
 def analytic_threshold(model: str, lam: float, mu: float) -> float | None:
     """Smallest critical delay for (lam, mu), or None where none exists."""
-    points = _hopf_points(model, lam, mu)
+    points = stability.hopf_points(model, lam, mu)
     return points[0].delta_cr if points else None
 
 
@@ -292,7 +280,7 @@ def sweep(model: str, mu: float, lambdas, deltas,
     for lam in lambdas:
         lam = float(lam)
         crossings = [(p.delta_cr, _crossing_direction(model, p))
-                     for p in _hopf_points(model, lam, mu, reach)]
+                     for p in stability.hopf_points(model, lam, mu, reach)]
         for delta in deltas:
             if not crossings:
                 predicted = NOT_APPLICABLE

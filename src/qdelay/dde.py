@@ -62,8 +62,8 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     (an ODE) ``m = 0`` and ``h`` is the requested step.  The grid holds the
     nodes ``k * h`` for ``k = 0 .. n``, ``n = floor(horizon / h)``.  Both
     quotients forgive 1e-9 of rounding.  Raises ``ValueError`` unless the
-    lag is finite and >= 0, the step and horizon are finite and > 0, and
-    the grid holds at most 10^7 nodes.
+    lag is finite and >= 0, the step and horizon are finite and > 0,
+    ``lag / step`` is finite, and the grid holds at most 10^7 nodes.
     """
     _check_lag(lag)
     _check_step(step)
@@ -73,7 +73,10 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
         m = 0
         h = step
     else:
-        m = max(1, math.ceil(lag / step - 1e-9))
+        per_step = lag / step
+        if not per_step < math.inf:
+            raise ValueError(f"lag / step = {lag:g} / {step:g} overflows")
+        m = max(1, math.ceil(per_step - 1e-9))
         h = lag / m
     steps = horizon / h + 1e-9
     if not steps < _MAX_NODES:

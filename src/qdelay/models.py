@@ -208,10 +208,10 @@ def simulate(model: str, params: ModelParams, horizon: float,
                                  + z^4 (2 - z) / 288 * (R^j - 1) / r)
         M'_k = c (R^k - R^j) / delta = c R^j expm1(min(k, m) log R) / delta
 
-    and ``v' = (u_k - u_j) / delta``.  The powers are ``R^j = exp(j log R)``
+    and ``v' = (u_k - u_j) / delta``.  The powers are ``R^k = exp(k log R)``
     and ``R^j - 1 = expm1(j log R)`` with ``log R = log1p(r)`` (``R(z) > 0``
     for every real z), so no term is a difference of nearly equal powers
-    and ``M`` carries no rounding of ``R`` itself.  Then
+    and neither ``s`` nor ``M`` carries the rounding of ``R`` itself.  Then
     ``q1, q2 = (s +- u) / 2`` and ``m1, m2 = (M +- v) / 2``, and the node
     derivatives likewise, so dense output stays cubic Hermite and the
     trajectory equals ``simulate_reference`` up to rounding, on identical
@@ -254,16 +254,17 @@ def simulate(model: str, params: ModelParams, horizon: float,
     derivs = np.empty((size, dim))
     # an overflow is reported as a NumericalFailureError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s = s_inf + c * (1.0 + r) ** np.arange(size)
+        log_amp = math.log1p(r)
+        k_log = np.arange(size) * log_amp
+        s = s_inf + c * np.exp(k_log)
         s[0] = s0
         _split(states, 0, s, u)
         _split(derivs, 0, lam - mu * s, du)
         if model == MOVING_AVERAGE:
             inv = 1.0 / params.delta
-            log_amp = math.log1p(r)
             lead = np.minimum(np.arange(size), m)
             j = np.arange(size) - lead
-            j_log = j * log_amp
+            j_log = k_log[j]
             d_total = (c * inv) * np.exp(j_log) * np.expm1(lead * log_amp)
             total = s0 - d_total / mu - (h * c * inv) * (
                 lead + (z ** 4 * (2.0 - z) / 288.0) * (np.expm1(j_log) / r))

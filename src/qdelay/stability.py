@@ -7,7 +7,8 @@ here follows from its residual: the critical delays, where a root pair sits
 at r = i omega (in closed form for the constant-delay model, from the phase
 equation of the residual at i omega for the moving-average model); Newton
 tracking of a root as the delay moves; the implicit-function crossing rate
-dr/ddelta = -R_delta / R_r; and Hopf curves over the arrival rate.
+dr/ddelta = -R_delta / R_r; and the Hopf points of each model in increasing
+delay (``hopf_points``), from which Hopf curves over the arrival rate follow.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "critical_delay_ma",
     "crossing_rate",
     "hopf_curve",
+    "hopf_points",
     "ma_candidate_roots",
     "ma_threshold_function",
     "root_track",
@@ -202,29 +204,43 @@ def critical_delay_ma(lam: float, mu: float,
             for i, (delta, omega) in enumerate(inside)]
 
 
-def _ma_points_through(lam: float, mu: float, delta_max: float = 0.0) -> list[HopfPoint]:
-    """``critical_delay_ma`` up to the larger of ``delta_max`` and
-    9 pi^2 / lam, which always includes branch 0 when it exists.
+def hopf_points(model: str, lam: float, mu: float,
+                delta_max: float = 0.0) -> list[HopfPoint]:
+    """Hopf points of (lam, mu) in increasing delay: every one at or below
+    ``delta_max``, and the smallest also where it lies above.
 
-    Branch 0 is the left root of (pi, 2 pi): both k = 1 roots lie there,
-    where delta(theta) increases, and the left one lies before the minimum
-    of f at pi + arccos(2 mu / lam) < 3 pi / 2, so its delay is below
-    delta(3 pi / 2) = 4.5 pi^2 / lam, while every root beyond 3 pi has
-    delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root, no
-    interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
+    The constant-delay model has at most one, ``critical_delay_constant``.
+    The moving-average model's come from ``critical_delay_ma`` searched up
+    to the larger of ``delta_max`` and 9 pi^2 / lam, which always includes
+    branch 0 when it exists.  Branch 0 is the left root of (pi, 2 pi) of the
+    phase function f (``ma_threshold_function``): both k = 1 roots lie
+    there, where delta(theta) increases, and the left one lies before the
+    minimum of f at pi + arccos(2 mu / lam) < 3 pi / 2, so its delay is
+    below delta(3 pi / 2) = 4.5 pi^2 / lam, while every root beyond 3 pi
+    has delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root,
+    no interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
+
+    Raises ValueError for an unknown model.
     """
-    _validate_rates(lam, mu)
-    return critical_delay_ma(lam, mu, bracket=(0.0, max(9.0 * math.pi ** 2 / lam, delta_max)))
+    if model == CONSTANT:
+        point = critical_delay_constant(lam, mu)
+        return [] if point is None else [point]
+    if model == MOVING_AVERAGE:
+        _validate_rates(lam, mu)
+        reach = max(9.0 * math.pi ** 2 / lam, delta_max)
+        points = critical_delay_ma(lam, mu, bracket=(0.0, reach))
+        return points[:1] + [p for p in points[1:] if p.delta_cr <= delta_max]
+    raise ValueError(f"unknown model kind: {model!r}")
 
 
 def _validate_query(model: str, lam: float, mu: float, delta: float) -> None:
     _validate_rates(lam, mu)
     if model == CONSTANT:
-        if delta < 0.0:
-            raise ValueError("delta must be >= 0 for the constant-delay model")
+        if not 0.0 <= delta < math.inf:
+            raise ValueError("delta must be finite and >= 0 for the constant-delay model")
     elif model == MOVING_AVERAGE:
-        if delta <= 0.0:
-            raise ValueError("delta must be > 0 for the moving-average model")
+        if not 0.0 < delta < math.inf:
+            raise ValueError("delta must be finite and > 0 for the moving-average model")
     else:
         raise ValueError(f"unknown model kind: {model!r}")
 
@@ -305,29 +321,16 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
 
 def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
                n_points: int) -> list[HopfPoint]:
-    """Critical delay versus arrival rate on a linear lambda grid.
-
-    For the constant-delay model the closed form is evaluated where
-    lam > 2 mu; for the moving-average model the smallest branch is used,
-    searched only up to delta = 9 pi^2 / lam, which always holds it.  Grid
-    points without a root emit nothing.
+    """Critical delay versus arrival rate on a linear lambda grid: the
+    smallest of ``hopf_points`` at each grid point.  Grid points without a
+    root emit nothing.
     """
-    if model not in (CONSTANT, MOVING_AVERAGE):
-        raise ValueError(f"unknown model kind: {model!r}")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     lo, hi = lambda_range
     if not (0.0 < lo <= hi):
         raise ValueError("lambda_range must satisfy 0 < lo <= hi")
-    lams = np.linspace(lo, hi, n_points)
     points: list[HopfPoint] = []
-    for lam in lams:
-        if model == CONSTANT:
-            point = critical_delay_constant(float(lam), mu)
-            if point is not None:
-                points.append(point)
-        else:
-            roots = _ma_points_through(float(lam), mu)
-            if roots:
-                points.append(roots[0])
+    for lam in np.linspace(lo, hi, n_points):
+        points += hopf_points(model, float(lam), mu)[:1]
     return points

@@ -186,6 +186,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: the grid needs 2e+301 nodes, more than the 10000000 allowed\n"
 
+    def test_lag_step_overflow_is_usage_error(self, capsys):
+        # lag / step overflows before the grid is sized
+        assert run(["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
+                    "--delta", "1e300", "--step", "1e-10", "--horizon", "1e-5"]) == 1
+        assert capsys.readouterr().err == "error: lag / step = 1e+300 / 1e-10 overflows\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out

@@ -96,6 +96,8 @@ class TestLagGrid:
         (0.4, 0.01, -1.0, "horizon must be finite and > 0"),
         (0.4, 0.01, np.inf, "horizon must be finite and > 0"),
         (0.4, 0.01, np.nan, "horizon must be finite and > 0"),
+        (1e300, 1e-10, 1e-5, r"lag / step = 1e\+300 / 1e-10 overflows"),
+        (1.7e308, 0.5, 1.0, r"lag / step = 1\.7e\+308 / 0\.5 overflows"),
     ])
     def test_rejects_bad_inputs(self, lag, step, horizon, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

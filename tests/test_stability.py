@@ -25,6 +25,7 @@ from qdelay import (
     critical_delay_ma,
     crossing_rate,
     hopf_curve,
+    hopf_points,
     ma_candidate_roots,
     ma_threshold_function,
     root_track,
@@ -336,6 +337,32 @@ class TestDelayBound:
                 assert first.delta_cr < 4.5 * math.pi ** 2 / lam
 
 
+class TestHopfPoints:
+    def test_moving_average_smallest_and_through_delta_max(self):
+        first, second = critical_delay_ma(10.0, 1.0)[:2]
+        assert hopf_points(MOVING_AVERAGE, 10.0, 1.0) == [first]
+        assert first.delta_cr == pytest.approx(2.1448, abs=1e-4)
+        assert hopf_points(MOVING_AVERAGE, 10.0, 1.0, 6.0) == [first, second]
+        assert second.delta_cr == pytest.approx(5.9635, abs=1e-4)
+        # a point exactly at delta_max is kept
+        assert hopf_points(MOVING_AVERAGE, 10.0, 1.0, second.delta_cr) == [first, second]
+        assert hopf_points(MOVING_AVERAGE, 4.0, 1.0, 100.0) == []
+
+    def test_constant_single_point(self):
+        point = critical_delay_constant(10.0, 1.0)
+        assert hopf_points(CONSTANT, 10.0, 1.0) == [point]
+        assert hopf_points(CONSTANT, 10.0, 1.0, 100.0) == [point]
+        assert hopf_points(CONSTANT, 2.0, 1.0) == []
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            hopf_points("other", 10.0, 1.0)
+        for model in (CONSTANT, MOVING_AVERAGE):
+            for lam in (0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="^lam must be finite and > 0$"):
+                    hopf_points(model, lam, 1.0)
+
+
 class TestCrossingRate:
     def test_constant_closed_form(self):
         # Re dr/ddelta at i omega, written out for the constant-delay model
@@ -381,6 +408,11 @@ class TestCrossingRate:
             crossing_rate(MOVING_AVERAGE, 10.0, 1.0, 0.0, 1j)
         with pytest.raises(ValueError):
             crossing_rate(CONSTANT, 0.0, 1.0, 0.4, 1j)
+        for delta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
+                crossing_rate(CONSTANT, 10.0, 1.0, delta, 1j)
+            with pytest.raises(ValueError, match="^delta must be finite and > 0"):
+                crossing_rate(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
 
 
 class TestRootTrack:
@@ -439,6 +471,11 @@ class TestRootTrack:
             root_track(CONSTANT, 10.0, 1.0, 0.4, complex(math.nan, 0.0))
         with pytest.raises(ConvergenceError):
             root_track(CONSTANT, 10.0, 1.0, 0.4, 100.0 + 100.0j, max_iter=2)
+        for delta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
+                root_track(CONSTANT, 10.0, 1.0, delta, 1j)
+            with pytest.raises(ValueError, match="^delta must be finite and > 0"):
+                root_track(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
 
 
 class TestHopfCurve:

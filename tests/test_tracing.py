@@ -8,7 +8,7 @@ not only when the benchmark runs with ``--trace 1``.
 import sys
 from pathlib import Path
 
-from qdelay import CONSTANT, MOVING_AVERAGE, ModelParams, models
+from qdelay import CONSTANT, MOVING_AVERAGE, ModelParams, models, stability
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -40,3 +40,16 @@ def test_traced_reference_counts_the_model_rhs():
     rhs_calls = sum(v[0] for (name, _), v in hot.items() if name == "models.rhs")
     # one call at node 0 and four per step, 100 steps of h = 0.01 per run
     assert rhs_calls == 2 * (1 + 4 * 100)
+
+
+def test_traced_hopf_curve_counts_the_critical_delays():
+    # hopf_points reaches both critical-delay functions through the module
+    # globals: one traced call per grid point
+    with tracing.Tracer() as tracer:
+        tracer.begin_round()
+        stability.hopf_curve(MOVING_AVERAGE, 1.0, (10.0, 20.0), 3)
+        stability.hopf_curve(CONSTANT, 1.0, (10.0, 20.0), 2)
+        tracer.end_round()
+    names = [span[1] for span in tracer.rounds[0][0]]
+    assert names.count("stability.critical_delay_ma") == 3
+    assert names.count("stability.critical_delay_constant") == 2
