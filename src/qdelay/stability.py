@@ -72,14 +72,16 @@ def critical_delay_constant(lam: float, mu: float) -> HopfPoint | None:
 
     For lam > 2 mu the difference mode loses stability at
     ``delta_cr = arccos(-2 mu / lam) / omega`` with
-    ``omega = sqrt(lam^2 - 4 mu^2) / 2``; for lam <= 2 mu there is no
+    ``omega = sqrt(lam^2 - 4 mu^2) / 2``, taken as
+    ``sqrt(lam / 2 - mu) sqrt(lam / 2 + mu)``, in which neither a square
+    nor ``lam + 2 mu`` can overflow; for lam <= 2 mu there is no
     pure-imaginary crossing and the equilibrium is stable for every delay,
     so None is returned.
     """
     _validate_rates(lam, mu)
     if lam <= 2.0 * mu:
         return None
-    omega = 0.5 * math.sqrt(lam * lam - 4.0 * mu * mu)
+    omega = math.sqrt(0.5 * lam - mu) * math.sqrt(0.5 * lam + mu)
     delta_cr = math.acos(-2.0 * mu / lam) / omega
     return HopfPoint(lam=lam, mu=mu, delta_cr=delta_cr, omega=omega)
 
@@ -152,7 +154,10 @@ def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float
         for end, side in ((lo, 1.0), (hi, -1.0)):
             theta = _newton_from_end(end, ma_threshold_function(end, lam, mu),
                                      side, lam, mu)
-            delta = 2.0 * theta * theta / (lam * (1.0 - math.cos(theta)))
+            # 1 - cos(theta) as 2 sin(theta / 2)^2, which does not round to 0
+            # where theta nears 2 pi, as the right root of (pi, 2 pi) does
+            # at large lam / mu
+            delta = theta * theta / (lam * math.sin(0.5 * theta) ** 2)
             roots.append((delta, theta / delta))
         k += 2
     return roots

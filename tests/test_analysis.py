@@ -163,6 +163,12 @@ class TestAnalyticThreshold:
         assert got == pytest.approx(2.1448, abs=1e-3)
         assert analysis.analytic_threshold(MOVING_AVERAGE, 4.0, 1.0) is None
 
+    def test_moving_average_at_huge_rates(self):
+        # the search also finds the right root of (pi, 2 pi), whose phase
+        # rounds 1 - cos(theta) to 0 above lam / mu ~ 1.19e9
+        got = analysis.analytic_threshold(MOVING_AVERAGE, 1e16, 1.0)
+        assert got == pytest.approx(math.pi ** 2 / 1e16, rel=1e-6)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             analysis.analytic_threshold("other", 10.0, 1.0)

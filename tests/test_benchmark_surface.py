@@ -38,7 +38,10 @@ def test_hopf_thresholds_every_item():
 
 @pytest.mark.parametrize("name", ["regime-sweep", "trajectory-export"])
 def test_first_item(name, tmp_path):
+    # the first item of each model, so that both difference kernels run
     cls = workloads.WORKLOADS[name]
     workload = cls(SEED, tmp_path) if cls is workloads.TrajectoryExport else cls(SEED)
     workload.warm_up()
-    _check_items(workload, workload.items[:1])
+    firsts = [next(item for item in workload.items if item["model"] == model)
+              for model in (workloads.CONSTANT, workloads.MOVING_AVERAGE)]
+    _check_items(workload, firsts)

@@ -105,6 +105,21 @@ class TestCriticalDelayCommand:
                     "--lambda", "10", "--mu", "1", "--bracket", "0.5", "1.5"]) == 0
         assert "no validated Hopf root" in capsys.readouterr().out
 
+    def test_ma_bracket_at_a_huge_rate(self, capsys):
+        assert run(["critical-delay", "--model", "moving-average",
+                    "--lambda", "2e9", "--mu", "1", "--bracket", "0", "1e-8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        fields = dict(kv.split("=") for kv in lines[0].split())
+        assert float(fields["delta_cr"]) == pytest.approx(4.93480221e-09, rel=1e-8)
+
+    def test_constant_at_a_huge_rate(self, capsys):
+        assert run(["critical-delay", "--model", "constant",
+                    "--lambda", "1.4e154", "--mu", "1"]) == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert float(fields["omega"]) == pytest.approx(7e153, rel=1e-8)
+        assert float(fields["delta_cr"]) == pytest.approx(2.24399475e-154, rel=1e-8)
+
     @pytest.mark.parametrize("bracket", [["5", "1"], ["nan", "5"], ["0", "nan"]])
     def test_ma_invalid_bracket_is_usage_error(self, capsys, bracket):
         assert run(["critical-delay", "--model", "moving-average",

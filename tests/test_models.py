@@ -302,6 +302,66 @@ class TestSimulate:
         assert abs(traj.states[-1, 0] + traj.states[-1, 1] - float(exact)) < 1e-13
 
 
+def _stage_form(model, params, u0, m, h, n):
+    """The float stage-form recursion of the difference mode, stepped as the
+    full-state integrator steps (k1..k4, Hermite midpoint for the lagged
+    stages): the oracle for the kernels' long-run rounding drift."""
+    lam, mu = params.lam, params.mu
+    tanh = math.tanh
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    if model == CONSTANT:
+        g0 = -lam * tanh(0.5 * u0)
+        x, k1 = u0, g0 - mu * u0
+        u, du = [x], [k1]
+        y0, d0 = x, k1
+        for k in range(n):
+            i = k - m
+            if i < 0:
+                g_mid = g_end = g0
+            else:
+                y1 = u[i + 1]
+                d1 = du[i + 1]
+                u_mid = y0 + 0.5 * (y1 - y0) + eighth * (d0 - d1)
+                g_mid = -lam * tanh(0.5 * u_mid)
+                g_end = -lam * tanh(0.5 * y1)
+                y0, d0 = y1, d1
+            k2 = g_mid - mu * (x + half * k1)
+            k3 = g_mid - mu * (x + half * k2)
+            k4 = g_end - mu * (x + h * k3)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            k1 = g_end - mu * x
+            u.append(x)
+            du.append(k1)
+        return np.array(u)
+    inv = 1.0 / params.delta
+    x = v = u0
+    k1, l1 = -lam * tanh(0.5 * v) - mu * x, 0.0
+    u, du = [x], [k1]
+    y0, d0 = x, k1
+    for k in range(n):
+        i = k - m
+        if i < 0:
+            u_mid = u_end = u0
+        else:
+            u_end = u[i + 1]
+            d1 = du[i + 1]
+            u_mid = y0 + 0.5 * (u_end - y0) + eighth * (d0 - d1)
+            y0, d0 = u_end, d1
+        s, sv = x + half * k1, v + half * l1
+        k2, l2 = -lam * tanh(0.5 * sv) - mu * s, (s - u_mid) * inv
+        s, sv = x + half * k2, v + half * l2
+        k3, l3 = -lam * tanh(0.5 * sv) - mu * s, (s - u_mid) * inv
+        s, sv = x + h * k3, v + h * l3
+        k4, l4 = -lam * tanh(0.5 * sv) - mu * s, (s - u_end) * inv
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        v = v + sixth * (l1 + 2.0 * (l2 + l3) + l4)
+        k1 = -lam * tanh(0.5 * v) - mu * x
+        l1 = (x - u_end) * inv
+        u.append(x)
+        du.append(k1)
+    return np.array(u)
+
+
 class TestSimulateDifference:
     """The difference-mode kernel against q1 - q2 of the full-state integrator."""
 
@@ -323,6 +383,25 @@ class TestSimulateDifference:
         np.testing.assert_array_equal(times, traj.times)
         diff = traj.states[:, 0] - traj.states[:, 1]
         assert np.max(np.abs(u - diff)) <= 1e-12 * equilibrium(p)
+
+    @pytest.mark.parametrize("model,lam,mu,delta,phi", [
+        (CONSTANT, 180.9 * 0.112, 0.112, 9.3, None),
+        (CONSTANT, 30.8 * 0.24, 0.24, 8.41, None),
+        (MOVING_AVERAGE, 13.85 * 0.11, 0.11, 9.94, None),
+        (MOVING_AVERAGE, 2.0, 0.05, 11.0, None),
+    ])
+    def test_long_runs_stay_on_the_stage_form_recursion(self, model, lam, mu, delta, phi):
+        # 50k steps at mu h ~ 1e-3.  Stepping with the rounded R = 1 + r
+        # instead of the increment r u + sum c_i T_i biases every step the
+        # same way and ends 1e-13 to 2e-12 of q* away here
+        p = ModelParams(lam, mu, delta)
+        q = equilibrium(p)
+        phi1, phi2 = (1.1 * q, 0.9 * q) if phi is None else phi
+        m, h, n = models.lag_grid(delta, models.default_step(p), 500.0)
+        assert n >= 50_000
+        _, u = simulate_difference(model, p, 500.0, phi1=phi1, phi2=phi2)
+        oracle = _stage_form(model, p, phi1 - phi2, m, h, n)
+        assert np.max(np.abs(u - oracle)) <= 1e-13 * q
 
     def test_swapping_histories_negates_exactly(self):
         for model, delta in ((CONSTANT, 0.4), (CONSTANT, 0.0), (MOVING_AVERAGE, 2.0)):
@@ -358,6 +437,24 @@ class TestSimulateDifference:
         with pytest.raises(NumericalFailureError) as info:
             simulate_reference(MOVING_AVERAGE, p, 200.0, step=1.0)
         assert info.value.time == 161.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
+    @pytest.mark.parametrize("model,times", [
+        (CONSTANT, (160.0, 160.0, 161.0)),
+        (MOVING_AVERAGE, (161.0, 160.0, 161.0)),
+    ])
+    def test_blow_up_fails_within_one_step_of_the_reference(self, model, times):
+        # mu h = 7.5: the reference overflows in a stage or a node, simulate
+        # where a derivative of the assembled state overflows, and the
+        # kernel where u (or v / 2) itself does
+        p = ModelParams(65.0, 7.5, 2.0)
+        failures = []
+        for run in (simulate_reference, simulate, simulate_difference):
+            with pytest.raises(NumericalFailureError) as info:
+                run(model, p, 200.0, step=1.0)
+            failures.append(info.value.time)
+        assert tuple(failures) == times
+        assert all(abs(t - failures[0]) <= 1.0 for t in failures)
 
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)

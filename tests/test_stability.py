@@ -85,6 +85,17 @@ class TestCriticalDelayConstant:
                 assert abs(math.cos(x) + 2.0 * mu / lam) < 1e-9
                 assert abs(math.sin(x) - 2.0 * point.omega / lam) < 1e-9
 
+    @pytest.mark.parametrize("lam,mu", [(1.4e154, 1.0), (1e300, 1.0), (1.7e308, 8e307)])
+    def test_no_square_overflows_at_huge_rates(self, lam, mu):
+        # lam^2 overflows above ~1.3e154, which once gave omega = inf and
+        # delta_cr = 0; so does lam + 2 mu near the largest float
+        point = critical_delay_constant(lam, mu)
+        assert math.isfinite(point.omega) and point.delta_cr > 0.0
+        ratio = 2.0 * mu / lam
+        assert point.omega == pytest.approx(0.5 * lam * math.sqrt(1.0 - ratio * ratio), rel=1e-14)
+        value = characteristic_residual_constant(1j * point.omega, lam, mu, point.delta_cr)
+        assert abs(value) <= 1e-15 * lam
+
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             critical_delay_constant(-1.0, 1.0)
@@ -181,6 +192,18 @@ class TestCriticalDelayMa:
         for p in points[:2]:
             assert abs(characteristic_residual_ma(1j * p.omega, 1000.0, 1.0,
                                                   p.delta_cr)) < 1e-8
+
+    @pytest.mark.parametrize("lam", [2e9, 1e16])
+    def test_right_root_next_to_two_pi(self, lam):
+        # above lam / mu ~ 1.19e9 the right root of (pi, 2 pi) lies so close
+        # to 2 pi that 1 - cos(theta) rounds to 0 in its delay; the bracket
+        # holds branch 0 only, but the scan computes both roots of (pi, 2 pi)
+        points = critical_delay_ma(lam, 1.0, bracket=(0.0, 4.0 * math.pi ** 2 / lam))
+        assert len(points) == 1
+        point = points[0]
+        assert point.delta_cr == pytest.approx(math.pi ** 2 / lam, rel=1e-6)
+        value = characteristic_residual_ma(1j * point.omega, lam, 1.0, point.delta_cr)
+        assert abs(value) <= 1e-12 * lam / point.delta_cr
 
     def test_validated_points_satisfy_both_conditions(self):
         for lam in (10.0, 30.0, 100.0):
