@@ -113,8 +113,9 @@ def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
     part vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
     Every zero theta > 0 is therefore a Hopf point at that delta.
     """
-    # Newton calls this once per phase evaluation: test the rates inline and
-    # call _validate_rates, which names the bad rate, only when one fails
+    # _ma_roots calls this at the ends of every odd interval (its Newton
+    # evaluates the same sum inline): test the rates inline and call
+    # _validate_rates, which names the bad rate, only when one fails
     if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
         _validate_rates(lam, mu)
     return lam * math.sin(theta) + 2.0 * mu * theta
@@ -126,25 +127,47 @@ def _newton_from_end(theta: float, f_theta: float, side: float,
     # moving right from k pi (side +1) or left from (k + 1) pi (side -1).
     # f is convex there and f(theta) > 0, so each iterate stays on its end's
     # side of the root; stop once one fails to advance or f changes sign.
-    # About five steps suffice; the cap is a guard
+    # About five steps suffice; the cap is a guard.  f is evaluated inline,
+    # as ma_threshold_function sums it; _ma_roots has validated the rates
+    two_mu = 2.0 * mu
     for _ in range(200):
-        slope = lam * math.cos(theta) + 2.0 * mu
+        slope = lam * math.cos(theta) + two_mu
         if slope * side >= 0.0:
             return theta
         nxt = theta - f_theta / slope
         if nxt == theta:
             return theta
-        f_nxt = ma_threshold_function(nxt, lam, mu)
+        f_nxt = lam * math.sin(nxt) + two_mu * nxt
         if f_nxt <= 0.0:
             return nxt if -f_nxt < f_theta else theta
         theta, f_theta = nxt, f_nxt
     return theta
 
 
+# The most moving-average Hopf points one query may list.  An unbracketed
+# query lists about lam / (2 pi mu) of them at about 300 B and 7 us each, so
+# far more would exhaust memory or time before the list was done.
+_MAX_HOPF_POINTS = 1_000_000
+
+
+def _hopf_point_bound(lam: float, mu: float, delta_hi: float) -> float:
+    # two points for each odd k that the scan of _ma_roots may reach, that
+    # is, with 2 mu k pi < lam and (k pi)^2 < lam delta_hi
+    reach = min(lam / (2.0 * math.pi * mu), math.sqrt(max(lam * delta_hi, 0.0)) / math.pi)
+    if reach == math.inf:
+        return math.inf
+    return 2.0 * math.ceil(max(reach - 1.0, 0.0) / 2.0)
+
+
 def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float]]:
     # (delta, omega) of every Hopf point whose phase interval can hold a
     # delay <= delta_hi, in increasing phase; see ma_candidate_roots
     _validate_rates(lam, mu)
+    bound = _hopf_point_bound(lam, mu, delta_hi)
+    if bound > _MAX_HOPF_POINTS:
+        raise ValueError(f"the search may list {bound:.8g} Hopf points, more than "
+                         f"the {_MAX_HOPF_POINTS} allowed; narrow it with a "
+                         f"bracket (critical-delay --bracket LO HI)")
     roots = []
     k = 1
     while 2.0 * mu * k * math.pi < lam and (k * math.pi) ** 2 < lam * delta_hi:
@@ -183,6 +206,9 @@ def ma_candidate_roots(lam: float, mu: float) -> list[HopfPoint]:
     the smaller |f|), after about five steps.  Each root theta maps to
     delta = 2 theta^2 / (lam (1 - cos theta)) and omega = theta / delta,
     where both parts of the residual vanish.
+
+    Raises ValueError, before the scan, where it could list more than
+    10^6 points, about lam / (2 pi mu) > 10^6.
     """
     return [HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega)
             for delta, omega in _ma_roots(lam, mu, math.inf)]
@@ -195,6 +221,10 @@ def critical_delay_ma(lam: float, mu: float,
     With a ``bracket`` (lo, hi), only the delays in [lo, hi] are kept and
     indexed; ``hi`` may be inf, and a bracket with ``lo > hi`` or a NaN end
     raises ValueError.  Returns an empty list when no delay lies in range.
+    A search that could list more than 10^6 points, counted from the two
+    stopping conditions below before it starts, raises ValueError: without
+    a bracket that is lam / (2 pi mu) > 10^6, where a bracket with
+    lam hi < 10^12 still answers.
 
     The search stops at ``hi``: since 1 - cos(theta) <= 2,
     delta(theta) = 2 theta^2 / (lam (1 - cos theta)) >= theta^2 / lam, so
@@ -205,8 +235,9 @@ def critical_delay_ma(lam: float, mu: float,
     if not lo <= hi:
         raise ValueError(f"bracket must satisfy lo <= hi without NaN, got ({lo}, {hi})")
     inside = sorted(root for root in _ma_roots(lam, mu, hi) if lo <= root[0] <= hi)
-    return [HopfPoint(lam=lam, mu=mu, delta_cr=delta, omega=omega, branch=i)
-            for i, (delta, omega) in enumerate(inside)]
+    # (lam, mu, delta_cr, omega, branch) by position: by keyword, building
+    # the point took twice as long
+    return [HopfPoint(lam, mu, delta, omega, i) for i, (delta, omega) in enumerate(inside)]
 
 
 def hopf_points(model: str, lam: float, mu: float,
@@ -225,7 +256,8 @@ def hopf_points(model: str, lam: float, mu: float,
     has delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root,
     no interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
 
-    Raises ValueError for an unknown model.
+    Raises ValueError for an unknown model, and for a moving-average
+    search that could list more than 10^6 points (``critical_delay_ma``).
     """
     if model == CONSTANT:
         point = critical_delay_constant(lam, mu)
@@ -250,25 +282,18 @@ def _validate_query(model: str, lam: float, mu: float, delta: float) -> None:
         raise ValueError(f"unknown model kind: {model!r}")
 
 
-def _slope(model: str, lam: float, mu: float, delta: float, r: complex) -> complex:
-    """The partial dR/dr of the residual at r; the caller validates the
-    arguments."""
-    decay = cmath.exp(-r * delta)
-    if model == CONSTANT:
-        return 1.0 - 0.5 * lam * delta * decay
-    return 2.0 * r + mu + 0.5 * lam * decay
-
-
 def root_track(model: str, lam: float, mu: float, delta: float,
                seed: complex, tol: float | None = None, max_iter: int = 100) -> complex:
     """Newton iteration on the characteristic residual from a seed root.
 
     Seeding with i*omega of a nearby Hopf point tracks the critical pair as
     the delay moves off the threshold, giving a numerical oracle for the
-    crossing direction.  The arguments are validated once per call; each
-    iteration evaluates the public ``characteristic_residual_*`` of the
-    model once and its analytic derivative R_r, which ``crossing_rate``
-    shares.
+    crossing direction.  The arguments are validated once per call.  Each
+    iterate evaluates e^(-r delta) once and takes from it both the residual
+    of ``characteristic_residual_*`` and its analytic derivative R_r, as
+    ``crossing_rate`` does, with every product and sum associated as in
+    those functions, so the roots are the ones Newton on the public
+    residuals finds, to the last bit.
 
     ``tol`` bounds |residual| absolutely.  By default it is
     ``max(1e-12, 1e-13 * scale)`` with ``scale`` the size of the residual's
@@ -278,6 +303,9 @@ def root_track(model: str, lam: float, mu: float, delta: float,
 
     Raises
     ------
+    ValueError
+        Invalid rates, delay, model or seed, or a ``tol`` that is NaN or
+        <= 0, which no residual could meet.
     ConvergenceError
         No root with |residual| < tol within ``max_iter`` iterations, or a
         singular derivative at an iterate.
@@ -286,19 +314,39 @@ def root_track(model: str, lam: float, mu: float, delta: float,
     if tol is None:
         scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
         tol = max(1e-12, 1e-13 * scale)
+    elif not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     r = complex(seed)
     if not (math.isfinite(r.real) and math.isfinite(r.imag)):
         raise ValueError("seed must be finite")
-    residual = (characteristic_residual_constant if model == CONSTANT
-                else characteristic_residual_ma)
-    for _ in range(max_iter):
-        value = residual(r, lam, mu, delta)
-        if abs(value) < tol:
-            return r
-        slope = _slope(model, lam, mu, delta, r)
-        if slope == 0.0:
-            raise ConvergenceError(f"singular residual derivative at {r}")
-        r = r - value / slope
+    # Newton inline, one loop per model: a call per iterate would cost more
+    # than its arithmetic.  half_lam * decay is (0.5 * lam) * e^(-r delta)
+    # as the residuals group it, and so on for every hoisted factor
+    half_lam = 0.5 * lam
+    if model == CONSTANT:
+        half_lam_delta = half_lam * delta
+        for _ in range(max_iter):
+            decay = cmath.exp(-r * delta)
+            value = r + half_lam * decay + mu
+            if abs(value) < tol:
+                return r
+            slope = 1.0 - half_lam_delta * decay
+            if slope == 0.0:
+                raise ConvergenceError(f"singular residual derivative at {r}")
+            r = r - value / slope
+        residual = characteristic_residual_constant
+    else:
+        gain = half_lam / delta
+        for _ in range(max_iter):
+            decay = cmath.exp(-r * delta)
+            value = r * r + mu * r - gain * (decay - 1.0)
+            if abs(value) < tol:
+                return r
+            slope = 2.0 * r + mu + half_lam * decay
+            if slope == 0.0:
+                raise ConvergenceError(f"singular residual derivative at {r}")
+            r = r - value / slope
+        residual = characteristic_residual_ma
     if abs(residual(r, lam, mu, delta)) < tol:
         return r
     raise ConvergenceError(
@@ -313,15 +361,18 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     This is the implicit-function theorem on R(r, delta) = 0 (Cooke &
     Grossman, J. Math. Anal. Appl. 86, 1982).  At a Hopf point r = i omega
     the sign of its real part is the crossing direction: positive where the
-    pair enters the right half-plane as the delay grows.
+    pair enters the right half-plane as the delay grows.  R_r is the
+    derivative ``root_track`` steps with.
     """
     _validate_query(model, lam, mu, delta)
     decay = cmath.exp(-r * delta)
     if model == CONSTANT:
         r_delta = -0.5 * lam * r * decay
+        r_r = 1.0 - 0.5 * lam * delta * decay
     else:
         r_delta = 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
-    return -r_delta / _slope(model, lam, mu, delta, r)
+        r_r = 2.0 * r + mu + 0.5 * lam * decay
+    return -r_delta / r_r
 
 
 def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
@@ -333,8 +384,8 @@ def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     lo, hi = lambda_range
-    if not (0.0 < lo <= hi):
-        raise ValueError("lambda_range must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"lambda_range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
     points: list[HopfPoint] = []
     for lam in np.linspace(lo, hi, n_points):
         points += hopf_points(model, float(lam), mu)[:1]

@@ -120,6 +120,21 @@ class TestCriticalDelayCommand:
         assert float(fields["omega"]) == pytest.approx(7e153, rel=1e-8)
         assert float(fields["delta_cr"]) == pytest.approx(2.24399475e-154, rel=1e-8)
 
+    def test_ma_unbounded_list_is_usage_error(self, capsys):
+        # about 1.6e11 Hopf points: refused before the scan, and a bracket
+        # at the same rate still answers
+        assert run(["critical-delay", "--model", "moving-average",
+                    "--lambda", "1e12", "--mu", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: the search may list 1.5915494e+11 Hopf points")
+        assert "--bracket" in lines[0]
+        assert run(["critical-delay", "--model", "moving-average",
+                    "--lambda", "1e12", "--mu", "1", "--bracket", "0", "1e-10"]) == 0
+        assert capsys.readouterr().out.startswith("model=moving-average lambda=1e+12")
+
     @pytest.mark.parametrize("bracket", [["5", "1"], ["nan", "5"], ["0", "nan"]])
     def test_ma_invalid_bracket_is_usage_error(self, capsys, bracket):
         assert run(["critical-delay", "--model", "moving-average",
@@ -150,6 +165,18 @@ class TestHopfCurveCommand:
         deltas = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         assert all(line.split(",")[4] == "true" for line in lines[1:])
+
+
+    @pytest.mark.parametrize("bounds", [["1", "inf"], ["nan", "10"], ["10", "1"]])
+    def test_bad_lambda_range_is_usage_error(self, capsys, recwarn, bounds):
+        assert run(["hopf-curve", "--model", "constant", "--mu", "1",
+                    "--lambda-min", bounds[0], "--lambda-max", bounds[1],
+                    "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: lambda_range must satisfy 0 < lo <= hi < inf, "
+                                f"got ({float(bounds[0])}, {float(bounds[1])})\n")
+        assert len(recwarn) == 0
 
 
 class TestSweepCommand:

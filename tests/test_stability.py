@@ -8,7 +8,9 @@ form on the constant-delay model and against finite differences of Newton
 root tracking on the moving-average model.
 """
 
+import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,24 @@ from qdelay import (
 )
 
 RNG = np.random.default_rng(5)
+
+
+class _Counting:
+    """Stands in for a module and counts the calls of one of its functions."""
+
+    def __init__(self, module, name):
+        self._module = module
+        self.calls = 0
+        original = getattr(module, name)
+
+        def counted(*args):
+            self.calls += 1
+            return original(*args)
+
+        setattr(self, name, counted)
+
+    def __getattr__(self, attr):
+        return getattr(self._module, attr)
 
 
 def _ma_threshold_oracle(delta, lam, mu):
@@ -314,18 +334,43 @@ class TestNewtonPhaseRoots:
                     if k * math.pi < p.omega * p.delta_cr < (k + 1) * math.pi]
 
     def test_phase_evaluations_per_root(self, monkeypatch):
-        # bisection to float resolution took about 47 evaluations per root
-        calls = []
-        original = stability.ma_threshold_function
-
-        def counted(theta, lam, mu):
-            calls.append(theta)
-            return original(theta, lam, mu)
-
-        monkeypatch.setattr(stability, "ma_threshold_function", counted)
+        # bisection to float resolution took about 47 evaluations per root.
+        # Every phase evaluation, inline in the Newton or through
+        # ma_threshold_function at an interval end, takes one sin; so does
+        # the map of each root to its delay, which is not one
+        sine = _Counting(math, "sin")
+        monkeypatch.setattr(stability, "math", sine)
         points = critical_delay_ma(1000.0, 1.0)
         assert len(points) == 158
-        assert len(calls) <= 10 * len(points)
+        assert sine.calls - len(points) <= 10 * len(points)
+
+
+class TestHopfPointCap:
+    def test_unbounded_list_fails_before_the_scan(self, monkeypatch):
+        # about lam / (2 pi mu) = 1.6e11 points: the scan must not start
+        sine = _Counting(math, "sin")
+        monkeypatch.setattr(stability, "math", sine)
+        for query in (critical_delay_ma, ma_candidate_roots):
+            with pytest.raises(ValueError, match=r"1\.5915494e\+11 Hopf points.*"
+                                                 r"1000000 allowed.*--bracket"):
+                query(1e12, 1.0)
+        assert sine.calls == 0
+
+    def test_narrow_bracket_still_answers(self):
+        points = critical_delay_ma(1e12, 1.0, bracket=(0.0, 1e-10))
+        assert points
+        assert points[0].delta_cr == pytest.approx(math.pi ** 2 / 1e12, rel=1e-5)
+        assert all(p.delta_cr <= 1e-10 for p in points)
+
+    def test_bound_is_met_below_the_cap(self):
+        # 2 mu k pi < lam holds for the odd k up to 159153: two points each
+        assert stability._hopf_point_bound(1e6, 1.0, math.inf) == 159154.0
+        assert len(critical_delay_ma(1e6, 1.0)) == 159154
+
+    def test_bound_of_empty_and_open_brackets(self):
+        assert stability._hopf_point_bound(10.0, 1.0, -1.0) == 0.0
+        assert stability._hopf_point_bound(1e300, 1e-300, math.inf) == math.inf
+        assert critical_delay_ma(10.0, 1.0, bracket=(-2.0, -1.0)) == []
 
 
 class TestDelayBound:
@@ -438,7 +483,125 @@ class TestCrossingRate:
                 crossing_rate(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
 
 
+def _default_tol(model, lam, mu, delta):
+    scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
+    return max(1e-12, 1e-13 * scale)
+
+
+def _slope(model, lam, mu, delta, r):
+    # R_r, the partial derivative of the residual in r
+    decay = cmath.exp(-r * delta)
+    if model == CONSTANT:
+        return 1.0 - 0.5 * lam * delta * decay
+    return 2.0 * r + mu + 0.5 * lam * decay
+
+
+def _reference_newton(model, lam, mu, delta, seed, tol, max_iter=100):
+    """Newton on the public residual and R_r, one call each per iterate.
+
+    Returns the root, or the ConvergenceError text, and the number of
+    residual evaluations.
+    """
+    residual = (characteristic_residual_constant if model == CONSTANT
+                else characteristic_residual_ma)
+    r = complex(seed)
+    evaluations = 0
+    for _ in range(max_iter):
+        value = residual(r, lam, mu, delta)
+        evaluations += 1
+        if abs(value) < tol:
+            return r, evaluations
+        r = r - value / _slope(model, lam, mu, delta, r)
+    evaluations += 1
+    if abs(residual(r, lam, mu, delta)) < tol:
+        return r, evaluations
+    return (f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations",
+            evaluations)
+
+
+def _tracked(model, lam, mu, delta, seed, **kw):
+    try:
+        return root_track(model, lam, mu, delta, seed, **kw)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def _near_threshold_cases():
+    # delta_cr (1 -+ 1e-3) of the Hopf points of both models for lam / mu
+    # from 3 to 1000, seeded with i omega
+    rng = np.random.default_rng(13)
+    for ratio in np.geomspace(3.0, 1000.0, 12):
+        mu = float(rng.uniform(0.5, 2.0))
+        lam = float(ratio) * mu
+        for model in (CONSTANT, MOVING_AVERAGE):
+            for point in hopf_points(model, lam, mu, delta_max=300.0 / lam)[:3]:
+                for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+                    yield model, lam, mu, point.delta_cr * factor, 1j * point.omega
+
+
 class TestRootTrack:
+    def test_bit_identical_to_newton_on_the_public_residuals(self):
+        cases = list(_near_threshold_cases())
+        assert sum(model == MOVING_AVERAGE for model, *_ in cases) >= 40
+        for model, lam, mu, delta, seed in cases:
+            for tol in (None, 1e-9, 1e-14):
+                ref_tol = _default_tol(model, lam, mu, delta) if tol is None else tol
+                expected, _ = _reference_newton(model, lam, mu, delta, seed, ref_tol)
+                got = _tracked(model, lam, mu, delta, seed, tol=tol)
+                if isinstance(expected, str):
+                    assert got == expected
+                else:
+                    # the same bits, signed zeros included
+                    assert (got.real.hex(), got.imag.hex()) == \
+                        (expected.real.hex(), expected.imag.hex())
+
+    def test_max_iter_error_matches_the_reference(self):
+        for model in (CONSTANT, MOVING_AVERAGE):
+            tol = _default_tol(model, 10.0, 1.0, 0.4)
+            expected, _ = _reference_newton(model, 10.0, 1.0, 0.4, 100.0 + 100.0j, tol,
+                                            max_iter=2)
+            assert isinstance(expected, str)
+            with pytest.raises(ConvergenceError) as info:
+                root_track(model, 10.0, 1.0, 0.4, 100.0 + 100.0j, max_iter=2)
+            assert str(info.value) == expected
+
+    def test_one_exponential_per_residual_evaluation(self, monkeypatch):
+        cases = list(_near_threshold_cases())[::5]
+        cases.append((CONSTANT, 10.0, 1.0, 0.4, 100.0 + 100.0j))
+        for model, lam, mu, delta, seed in cases:
+            root, evaluations = _reference_newton(
+                model, lam, mu, delta, seed, _default_tol(model, lam, mu, delta),
+                max_iter=3)
+            exp = _Counting(cmath, "exp")
+            monkeypatch.setattr(stability, "cmath", exp)
+            try:
+                root_track(model, lam, mu, delta, seed, max_iter=3)
+            except ConvergenceError:
+                assert isinstance(root, str)
+            monkeypatch.undo()
+            assert evaluations > 1
+            assert exp.calls == evaluations
+
+    def test_crossing_rate_is_minus_r_delta_over_r_r(self):
+        for model, lam, mu, delta, seed in _near_threshold_cases():
+            decay = cmath.exp(-seed * delta)
+            if model == CONSTANT:
+                r_delta = -0.5 * lam * seed * decay
+            else:
+                r_delta = 0.5 * lam / delta * (seed * decay + (decay - 1.0) / delta)
+            expected = -r_delta / _slope(model, lam, mu, delta, seed)
+            assert crossing_rate(model, lam, mu, delta, seed) == expected
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, -math.inf])
+    def test_tol_must_be_positive(self, tol, monkeypatch):
+        # rejected with the other arguments, before any residual evaluation
+        exp = _Counting(cmath, "exp")
+        monkeypatch.setattr(stability, "cmath", exp)
+        for model in (CONSTANT, MOVING_AVERAGE):
+            with pytest.raises(ValueError, match="^tol must be > 0"):
+                root_track(model, 10.0, 1.0, 0.4, 1j, tol=tol)
+        assert exp.calls == 0
+
     def test_zero_delay_exact_root(self):
         root = root_track(CONSTANT, 10.0, 1.0, 0.0, -6.0)
         assert root == -6.0 + 0.0j
@@ -524,6 +687,17 @@ class TestHopfCurve:
         points = hopf_curve(MOVING_AVERAGE, 1.0, (2.5, 100.0), 20)
         assert points, "expected validated roots somewhere on the grid"
         assert all(p.validated and p.branch == 0 for p in points)
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.inf, math.inf),
+                                        (math.nan, 10.0), (1.0, math.nan),
+                                        (-math.inf, 1.0), (10.0, 1.0)])
+    def test_lambda_range_must_be_finite_and_ordered(self, bounds):
+        # rejected before the lambda grid is built, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^lambda_range must satisfy "
+                                                 "0 < lo <= hi < inf"):
+                hopf_curve(CONSTANT, 1.0, bounds, 3)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
