@@ -45,7 +45,9 @@ class StabilityVerdict:
     envelope A is fitted by the Stuart-Landau law
     d ln A / dt = ``rate`` + ell A^2, and ``limit_amplitude`` is the tail
     amplitude that law settles at (0 for a decaying oscillation, ``inf``
-    for unbounded growth); both are nan when no envelope was fitted.
+    for unbounded growth).  Both are nan when no envelope was fitted, and
+    when the fit was not trusted and its limit would classify the run
+    otherwise than ``classification``, so that they never contradict it.
     ``classification`` is synchronized iff the classified amplitude is below
     ``eps_sync``, oscillatory iff above ``eps_osc``, else inconclusive; see
     ``classify_stability`` for when the limit replaces the raw amplitude.
@@ -177,6 +179,11 @@ def classify_difference(times: np.ndarray, diff: np.ndarray, burn_in_fraction: f
     * the fit predicts decay but the half-swings do not decrease
       monotonically (a modulated cycle, not a decaying transient).
 
+    In those two last cases ``rate`` and ``limit_amplitude`` are still
+    reported where the limit classifies as the raw amplitude does, and are
+    nan where it does not: an untrusted fit that would call an oscillatory
+    tail a decay to 0 is no evidence for the verdict.
+
     The horizon should still cover several oscillation periods after the
     burn-in.
     """
@@ -196,8 +203,11 @@ def classify_difference(times: np.ndarray, diff: np.ndarray, burn_in_fraction: f
         fit = _envelope_fit(times[start:], tail)
         if fit is not None:
             rate, limit, trusted = fit
+            fitted = _classify_amplitude(limit, eps_sync, eps_osc)
             if trusted:
-                classification = _classify_amplitude(limit, eps_sync, eps_osc)
+                classification = fitted
+            elif fitted != classification:
+                rate = limit = math.nan
     q3 = (3 * (n - 1)) // 4
     q2 = (n - 1) // 2
     last = diff[q3:]

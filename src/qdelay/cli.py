@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -352,151 +351,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_checks():
-    p_fig = models.ModelParams(lam=10.0, mu=1.0, delta=0.4)
-
-    def mnl_normalised():
-        pairs = [(0.0, 0.0), (3.0, -2.0), (0.0, 800.0), (-700.0, 700.0), (5.5, 4.5)]
-        worst = 0.0
-        for a, b in pairs:
-            w1, w2 = models.mnl_weights(a, b)
-            if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
-                return False, f"weight outside [0, 1] at {(a, b)}"
-            worst = max(worst, abs(w1 + w2 - 1.0))
-        return worst <= 1e-15, f"max |w1 + w2 - 1| = {worst:.2e}"
-
-    def equilibrium_fixed_point():
-        q = models.equilibrium(p_fig)
-        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=20.0,
-                                          phi1=q, phi2=q)
-        dev = float(np.max(np.abs(traj.states - q)))
-        return dev <= 1e-12, f"max deviation from equilibrium = {dev:.2e}"
-
-    def conservation_constant():
-        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=100.0,
-                                          phi1=5.5, phi2=4.5)
-        dev = analysis.conservation_check(traj, p_fig)
-        return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
-
-    def conservation_ma():
-        params = models.ModelParams(lam=10.0, mu=1.0, delta=4.0)
-        traj = models.simulate_reference(models.MOVING_AVERAGE, params, horizon=100.0,
-                                         phi1=6.0, phi2=4.5)
-        dev = analysis.conservation_check(traj, params)
-        return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
-
-    def invariant_manifold():
-        traj = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
-                                          phi1=7.0, phi2=7.0)
-        dev = float(np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])))
-        return dev < 1e-12, f"max |q1 - q2| = {dev:.2e}"
-
-    def swap_symmetry():
-        a = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
-                                      phi1=5.5, phi2=4.5)
-        b = models.simulate_reference(models.CONSTANT, p_fig, horizon=50.0,
-                                      phi1=4.5, phi2=5.5)
-        ok = np.array_equal(a.states[:, 0], b.states[:, 1]) and \
-            np.array_equal(a.states[:, 1], b.states[:, 0])
-        return ok, "swapped histories swap the trajectories exactly"
-
-    def residual_constant():
-        worst = 0.0
-        for mu in (0.5, 1.0):
-            for point in stability.hopf_curve(models.CONSTANT, mu, (2.5, 100.0), 20):
-                res = stability.characteristic_residual_constant(
-                    1j * point.omega, point.lam, point.mu, point.delta_cr)
-                worst = max(worst, abs(res))
-        return worst < 1e-9, f"max |residual(i omega)| = {worst:.2e}"
-
-    def residual_ma():
-        worst = 0.0
-        count = 0
-        for lam in (10.0, 30.0, 100.0):
-            for point in stability.critical_delay_ma(lam, 1.0):
-                res = stability.characteristic_residual_ma(
-                    1j * point.omega, point.lam, point.mu, point.delta_cr)
-                worst = max(worst, abs(res))
-                count += 1
-        return (count > 0 and worst < 1e-8), \
-            f"{count} roots, max |residual| = {worst:.2e}"
-
-    def crossing_direction():
-        eps = 1e-3
-        points = [(models.CONSTANT, stability.critical_delay_constant(lam, mu))
-                  for lam, mu in ((10.0, 1.0), (20.0, 2.0))]
-        points += [(models.MOVING_AVERAGE, p) for p in stability.critical_delay_ma(10.0, 1.0)]
-        signs = []
-        for model, p in points:
-            rate = stability.crossing_rate(model, p.lam, p.mu, p.delta_cr,
-                                           1j * p.omega).real
-            for delta1 in (eps, -eps):
-                root = stability.root_track(model, p.lam, p.mu, p.delta_cr + delta1,
-                                            1j * p.omega)
-                if math.copysign(1.0, root.real) != math.copysign(1.0, rate * delta1):
-                    return False, (f"sign mismatch for {model} at lambda={p.lam}, "
-                                   f"delta_cr={p.delta_cr:.6g}, delta1={delta1}")
-            signs.append(1 if rate > 0.0 else -1)
-        # the moving-average pair at (10, 1) enters, then leaves, the right half-plane
-        ok = signs[-2:] == [1, -1]
-        return ok, ("root-tracking signs match crossing_rate; moving-average "
-                    f"(10, 1) crossings {signs[-2]:+d}, {signs[-1]:+d}")
-
-    def regime_boundary():
-        params = models.ModelParams(lam=10.0, mu=1.0, delta=0.34)
-        eps_sync, eps_osc = analysis.default_thresholds(params)
-        lo = analysis.classify_stability(
-            models.simulate(models.CONSTANT, params, horizon=200.0),
-            0.5, eps_sync, eps_osc)
-        hi_params = models.ModelParams(lam=10.0, mu=1.0, delta=0.40)
-        hi = analysis.classify_stability(
-            models.simulate(models.CONSTANT, hi_params, horizon=200.0),
-            0.5, eps_sync, eps_osc)
-        ok = (lo.classification == analysis.SYNCHRONIZED
-              and hi.classification == analysis.OSCILLATORY)
-        return ok, (f"delta=0.34 -> {lo.classification}, "
-                    f"delta=0.40 -> {hi.classification}")
-
-    def threshold_vs_simulation():
-        point = stability.critical_delay_constant(10.0, 1.0)
-        flip = analysis.locate_transition(models.CONSTANT, 10.0, 1.0,
-                                          0.5 * point.delta_cr, 1.5 * point.delta_cr)
-        rel = abs(flip - point.delta_cr) / point.delta_cr
-        return rel < 0.05, f"simulated flip {flip:.4f} vs analytic " \
-                           f"{point.delta_cr:.4f} ({100 * rel:.1f}%)"
-
-    def order_four():
-        params = models.ModelParams(lam=10.0, mu=1.0, delta=0.4)
-        q = models.equilibrium(params)
-
-        def max_err(h):
-            traj = models.simulate_reference(models.CONSTANT, params, horizon=4.0,
-                                             step=h, phi1=7.0, phi2=7.0)
-            exact = q + (7.0 - q) * np.exp(-params.mu * traj.times)
-            return float(np.max(np.abs(traj.states[:, 0] - exact)))
-
-        ratio = max_err(0.05) / max_err(0.025)
-        return 12.0 < ratio < 20.0, f"error ratio h vs h/2 = {ratio:.2f} (~16 expected)"
-
-    return [
-        ("mnl-weights-normalised", mnl_normalised),
-        ("equilibrium-fixed-point", equilibrium_fixed_point),
-        ("conservation-constant", conservation_constant),
-        ("conservation-moving-average", conservation_ma),
-        ("invariant-manifold", invariant_manifold),
-        ("swap-symmetry", swap_symmetry),
-        ("hopf-residual-constant", residual_constant),
-        ("hopf-residual-moving-average", residual_ma),
-        ("crossing-direction", crossing_direction),
-        ("regime-boundary", regime_boundary),
-        ("threshold-vs-simulation", threshold_vs_simulation),
-        ("order-4-convergence", order_four),
-    ]
-
-
 def _cmd_verify(args) -> int:
+    # imported here, so that importing qdelay or its command line skips it
+    from . import checks
+
     failures = 0
-    for name, check in _verify_checks():
+    for name, check in checks.SUITE:
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check

@@ -144,9 +144,10 @@ def _newton_from_end(theta: float, f_theta: float, side: float,
     return theta
 
 
-# The most moving-average Hopf points one query may list.  An unbracketed
-# query lists about lam / (2 pi mu) of them at about 300 B and 7 us each, so
-# far more would exhaust memory or time before the list was done.
+# The most Hopf points one query may list: a moving-average search, or a
+# hopf_curve grid.  An unbracketed search lists about lam / (2 pi mu) of
+# them at about 300 B and 7 us each, so far more would exhaust memory or
+# time before the list was done.
 _MAX_HOPF_POINTS = 1_000_000
 
 
@@ -379,10 +380,14 @@ def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],
                n_points: int) -> list[HopfPoint]:
     """Critical delay versus arrival rate on a linear lambda grid: the
     smallest of ``hopf_points`` at each grid point.  Grid points without a
-    root emit nothing.
+    root emit nothing.  More than 10^6 grid points raise ValueError before
+    the grid is built.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    if n_points > _MAX_HOPF_POINTS:
+        raise ValueError(f"n_points = {n_points} is more than the "
+                         f"{_MAX_HOPF_POINTS} allowed")
     lo, hi = lambda_range
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"lambda_range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")

@@ -14,24 +14,13 @@ from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
     ModelParams,
-    characteristic_residual_constant,
-    characteristic_residual_ma,
+    checks,
     critical_delay_constant,
     critical_delay_ma,
-    crossing_rate,
     hopf_curve,
     ma_candidate_roots,
-    root_track,
-    simulate,
-    simulate_reference,
 )
-from qdelay.analysis import (
-    OSCILLATORY,
-    SYNCHRONIZED,
-    classify_stability,
-    conservation_check,
-    default_thresholds,
-)
+from qdelay.analysis import OSCILLATORY, SYNCHRONIZED
 
 
 def _check(label: str, ok: bool, detail: str) -> None:
@@ -40,12 +29,15 @@ def _check(label: str, ok: bool, detail: str) -> None:
 
 
 def _classify(model, lam, mu, delta, horizon):
-    params = ModelParams(lam, mu, delta)
     start = time.perf_counter()
-    traj = simulate(model, params, horizon=horizon)
-    elapsed = time.perf_counter() - start
-    verdict = classify_stability(traj, 0.5, *default_thresholds(params))
-    return verdict, elapsed
+    verdict = checks.classify(model, ModelParams(lam, mu, delta), horizon)
+    return verdict, time.perf_counter() - start
+
+
+def _ma_threshold(d):
+    # the delay form of the moving-average threshold condition at lam=10, mu=1
+    w = math.sqrt(10.0 / d - 1.0)
+    return math.sin(d * w) + (2.0 * d / 10.0) * w
 
 
 def _bisect(f, lo, hi, n=200):
@@ -111,12 +103,7 @@ def test_a04_moving_average_regimes():
     """
     low, _ = _classify(MOVING_AVERAGE, 10.0, 1.0, 2.0, 300.0)
     high, _ = _classify(MOVING_AVERAGE, 10.0, 1.0, 4.0, 300.0)
-
-    def f(d):
-        w = math.sqrt(10.0 / d - 1.0)
-        return math.sin(d * w) + (2.0 * d / 10.0) * w
-
-    oracle = _bisect(f, 2.0, 2.2)
+    oracle = _bisect(_ma_threshold, 2.0, 2.2)
     points = critical_delay_ma(10.0, 1.0)
     root_ok = (2.0 < points[0].delta_cr < 2.2
                and points[0].delta_cr == pytest.approx(oracle, abs=1e-8))
@@ -132,11 +119,7 @@ def test_a04_moving_average_regimes():
 def test_a05_extraneous_root_rejection():
     # the squared (delay) form of the threshold condition changes sign near
     # delta = 4; the phase equation must not report a Hopf point there
-    def f(d):
-        w = math.sqrt(10.0 / d - 1.0)
-        return math.sin(d * w) + (2.0 * d / 10.0) * w
-
-    delta = _bisect(f, 3.95, 4.1)
+    delta = _bisect(_ma_threshold, 3.95, 4.1)
     omega = math.sqrt(10.0 / delta - 1.0)
     required = 1.0 - 2.0 * delta * omega ** 2 / 10.0
     actual = math.cos(omega * delta)
@@ -159,26 +142,20 @@ def test_a06_conservation_randomized():
             delta = rng.uniform(*delta_range)
             params = ModelParams(lam, mu, delta)
             q = params.lam / (2.0 * params.mu)
-            traj = simulate_reference(model, params, horizon=50.0, phi1=1.3 * q,
-                                      phi2=0.8 * q)
-            worst = max(worst, conservation_check(traj, params))
+            worst = max(worst, checks.conservation_deviation(model, params, 50.0,
+                                                             1.3 * q, 0.8 * q))
     _check("A06 conservation over 10 randomized scenarios per model",
            worst < 1e-6, f"max |q1+q2 - s(t)| = {worst:.2e} < 1e-6")
 
 
 def test_a07_characteristic_residuals_on_lambda_grids():
-    worst_constant = 0.0
-    worst_ma = 0.0
-    n_ma = 0
-    for mu in (0.5, 1.0):
-        for p in hopf_curve(CONSTANT, mu, (2.5, 100.0), 20):
-            res = characteristic_residual_constant(1j * p.omega, p.lam, p.mu,
-                                                   p.delta_cr)
-            worst_constant = max(worst_constant, abs(res))
-        for p in hopf_curve(MOVING_AVERAGE, mu, (2.5, 100.0), 20):
-            res = characteristic_residual_ma(1j * p.omega, p.lam, p.mu, p.delta_cr)
-            worst_ma = max(worst_ma, abs(res))
-            n_ma += 1
+    def grid(model):
+        return [p for mu in (0.5, 1.0) for p in hopf_curve(model, mu, (2.5, 100.0), 20)]
+
+    worst_constant = checks.worst_residual(CONSTANT, grid(CONSTANT))
+    ma_points = grid(MOVING_AVERAGE)
+    worst_ma = checks.worst_residual(MOVING_AVERAGE, ma_points)
+    n_ma = len(ma_points)
     ok = worst_constant < 1e-9 and worst_ma < 1e-8 and n_ma > 0
     _check("A07 residuals at produced Hopf points (20-point grids, mu in {0.5, 1})",
            ok, f"constant max |R| = {worst_constant:.2e} < 1e-9; "
@@ -186,17 +163,10 @@ def test_a07_characteristic_residuals_on_lambda_grids():
 
 
 def test_a08_crossing_direction_oracle():
-    eps = 1e-3
-    details = []
-    ok = True
-    for lam, mu in ((10.0, 1.0), (100.0, 5.0), (20.0, 2.0)):
-        point = critical_delay_constant(lam, mu)
-        rate = crossing_rate(CONSTANT, lam, mu, point.delta_cr, 1j * point.omega).real
-        for delta1 in (eps, -eps):
-            root = root_track(CONSTANT, lam, mu, point.delta_cr + delta1,
-                              1j * point.omega)
-            ok = ok and math.copysign(1.0, root.real) == math.copysign(1.0, rate * delta1)
-        details.append(f"({lam:g},{mu:g})")
+    rates = ((10.0, 1.0), (100.0, 5.0), (20.0, 2.0))
+    points = [critical_delay_constant(lam, mu) for lam, mu in rates]
+    ok = 0 not in checks.crossing_signs(CONSTANT, points, 1e-3)
+    details = [f"({lam:g},{mu:g})" for lam, mu in rates]
     _check("A08 crossing-direction signs match the implicit-function rate",
            ok, "tracked root and crossing_rate agree for " + ", ".join(details)
                + " at delta_cr +- 1e-3")
@@ -215,20 +185,9 @@ def test_a09_monotone_hopf_curve():
 
 def test_a10_symmetry_and_order():
     params = ModelParams(10.0, 1.0, 0.4)
-    same = simulate_reference(CONSTANT, params, horizon=100.0, phi1=7.0, phi2=7.0)
-    manifold_dev = float(np.max(np.abs(same.states[:, 0] - same.states[:, 1])))
-    a = simulate_reference(CONSTANT, params, horizon=100.0, phi1=5.5, phi2=4.5)
-    b = simulate_reference(CONSTANT, params, horizon=100.0, phi1=4.5, phi2=5.5)
-    swap_exact = (np.array_equal(a.states[:, 0], b.states[:, 1])
-                  and np.array_equal(a.states[:, 1], b.states[:, 0]))
-
-    def max_err(h):
-        traj = simulate_reference(CONSTANT, params, horizon=4.0, step=h,
-                                  phi1=7.0, phi2=7.0)
-        exact = 5.0 + 2.0 * np.exp(-traj.times)
-        return float(np.max(np.abs(traj.states[:, 0] - exact)))
-
-    ratio = max_err(0.05) / max_err(0.025)
+    manifold_dev = checks.manifold_deviation(CONSTANT, params, 100.0, 7.0)
+    swap_exact = checks.swap_is_exact(CONSTANT, params, 100.0, 5.5, 4.5)
+    ratio = checks.order_ratio(params, 7.0, 4.0, 0.05)
     ok = manifold_dev < 1e-12 and swap_exact and 12.0 < ratio < 20.0
     _check("A10 symmetry and fourth-order convergence",
            ok, f"|q1 - q2| = {manifold_dev:.1e} < 1e-12 on identical histories; "

@@ -11,6 +11,7 @@ from qdelay import (
     ModelParams,
     Trajectory,
     analysis,
+    checks,
     critical_delay_constant,
     equilibrium,
     simulate,
@@ -29,11 +30,8 @@ from qdelay.analysis import (
 )
 
 
-def _classify(model, lam, mu, delta, horizon, burn=0.5, **kwargs):
-    p = ModelParams(lam, mu, delta)
-    traj = simulate(model, p, horizon=horizon, **kwargs)
-    eps_sync, eps_osc = default_thresholds(p)
-    return classify_stability(traj, burn, eps_sync, eps_osc)
+def _classify(model, lam, mu, delta, horizon, **history):
+    return checks.classify(model, ModelParams(lam, mu, delta), horizon, **history)
 
 
 class TestClassifyStability:
@@ -70,12 +68,8 @@ class TestClassifyStability:
                 == OSCILLATORY
 
     def test_swap_invariance(self):
-        p = ModelParams(10.0, 1.0, 0.4)
-        eps = default_thresholds(p)
-        a = classify_stability(simulate(CONSTANT, p, 200.0, phi1=5.5, phi2=4.5),
-                               0.5, *eps)
-        b = classify_stability(simulate(CONSTANT, p, 200.0, phi1=4.5, phi2=5.5),
-                               0.5, *eps)
+        a = _classify(CONSTANT, 10.0, 1.0, 0.4, 200.0, phi1=5.5, phi2=4.5)
+        b = _classify(CONSTANT, 10.0, 1.0, 0.4, 200.0, phi1=4.5, phi2=5.5)
         assert a.classification == b.classification
         assert a.amplitude == b.amplitude
 
@@ -115,8 +109,20 @@ class TestClassifyStability:
         # a limit cycle whose half-swings wander between 7.07 and 7.11: the
         # envelope fit alone would call it a decay to zero
         v = _classify(MOVING_AVERAGE, 452.311, 20.7113, 0.0544787, 1.634361)
-        assert v.rate < 0.0 and v.limit_amplitude == 0.0
+        assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
         assert v.classification == OSCILLATORY
+
+    @pytest.mark.parametrize("model,lam,mu,fraction", [
+        (CONSTANT, 100.0, 1.0, 1.01),
+        (MOVING_AVERAGE, 100.0, 5.0, 1.3),
+    ])
+    def test_no_decay_evidence_on_an_oscillatory_verdict(self, model, lam, mu, fraction):
+        # cycles whose untrusted envelope fit says rate < 0 and limit 0, at
+        # the horizon 200 / mu that sweep gives them
+        delta = fraction * analysis.analytic_threshold(model, lam, mu)
+        v = _classify(model, lam, mu, delta, 200.0 / mu)
+        assert v.classification == OSCILLATORY
+        assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
 
     def test_no_envelope_fit_once_synchronized(self):
         v = _classify(CONSTANT, 10.0, 1.0, 0.30, 200.0)
@@ -235,8 +241,7 @@ class TestSweep:
             threshold = analysis.analytic_threshold(model, lam, 1.0)
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
-                v = classify_stability(simulate(model, p, 60.0), 0.5,
-                                       *default_thresholds(p))
+                v = checks.classify(model, p, 60.0)
                 if threshold is None:
                     predicted = NOT_APPLICABLE
                 else:

@@ -1,10 +1,17 @@
 """Command-line surface tests: dispatch, CSV formats, exit codes, verify."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qdelay import ModelParams, Trajectory, cli, simulate
+from qdelay import ModelParams, Trajectory, checks, cli, simulate
 from qdelay.cli import run, write_trajectory_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _lines(path):
@@ -166,6 +173,15 @@ class TestHopfCurveCommand:
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         assert all(line.split(",")[4] == "true" for line in lines[1:])
 
+    def test_grid_beyond_the_cap_is_usage_error(self, capsys):
+        # refused before the 8 GB grid is built
+        assert run(["hopf-curve", "--model", "constant", "--mu", "1",
+                    "--lambda-min", "2.5", "--lambda-max", "100",
+                    "--points", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: n_points = 1000000000 is more than the 1000000 allowed\n"
 
     @pytest.mark.parametrize("bounds", [["1", "inf"], ["nan", "10"], ["10", "1"]])
     def test_bad_lambda_range_is_usage_error(self, capsys, recwarn, bounds):
@@ -289,22 +305,40 @@ class TestVerifyCommand:
         assert run(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") == 12
+        assert out.count("[PASS]") == len(checks.SUITE)
         # both moving-average crossings at (10, 1), the second restabilising
         assert "moving-average (10, 1) crossings +1, -1" in out
         assert "all checks passed" in out
 
     def test_failing_check_exits_nonzero(self, capsys, monkeypatch):
-        import qdelay.cli as cli
-
-        def broken_suite():
-            return [("always-fails", lambda: (False, "forced failure")),
-                    ("raises", lambda: (_ for _ in ()).throw(RuntimeError("boom")))]
-
-        monkeypatch.setattr(cli, "_verify_checks", broken_suite)
+        broken_suite = [("always-fails", lambda: (False, "forced failure")),
+                        ("raises", lambda: (_ for _ in ()).throw(RuntimeError("boom")))]
+        monkeypatch.setattr(checks, "SUITE", broken_suite)
         assert run(["verify"]) == 1
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == 2
+
+
+class TestModuleEntry:
+    """The package as a program, in a fresh interpreter from the checkout."""
+
+    @staticmethod
+    def _python(*args):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_python_m_qdelay_help(self):
+        done = self._python("-m", "qdelay", "--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: qdelay ")
+
+    def test_import_leaves_the_check_suite_unloaded(self):
+        # every benchmark workload imports cli; verify alone needs checks
+        done = self._python("-c", "import sys, qdelay, qdelay.cli; "
+                                  "print('qdelay.checks' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestTrajectoryCsv:

@@ -16,11 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdelay import stability
+from qdelay import analysis, checks, stability
 from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
     ConvergenceError,
+    ModelParams,
     characteristic_residual_constant,
     characteristic_residual_ma,
     critical_delay_constant,
@@ -145,9 +146,7 @@ class TestResidualConstant:
 
     def test_vanishes_at_hopf_point(self):
         point = critical_delay_constant(10.0, 1.0)
-        res = characteristic_residual_constant(1j * point.omega, 10.0, 1.0,
-                                               point.delta_cr)
-        assert abs(res) < 1e-9
+        assert checks.worst_residual(CONSTANT, [point]) < 1e-9
 
 
 class TestResidualMa:
@@ -162,8 +161,7 @@ class TestResidualMa:
 
     def test_vanishes_at_validated_point(self):
         point = critical_delay_ma(10.0, 1.0)[0]
-        res = characteristic_residual_ma(1j * point.omega, 10.0, 1.0, point.delta_cr)
-        assert abs(res) < 1e-8
+        assert checks.worst_residual(MOVING_AVERAGE, [point]) < 1e-8
 
     def test_requires_positive_delta(self):
         with pytest.raises(ValueError):
@@ -209,9 +207,7 @@ class TestCriticalDelayMa:
         points = critical_delay_ma(1000.0, 1.0)
         assert points[0].delta_cr == pytest.approx(0.0099093, abs=1e-7)
         assert points[1].delta_cr == pytest.approx(0.0891908, abs=1e-7)
-        for p in points[:2]:
-            assert abs(characteristic_residual_ma(1j * p.omega, 1000.0, 1.0,
-                                                  p.delta_cr)) < 1e-8
+        assert checks.worst_residual(MOVING_AVERAGE, points[:2]) < 1e-8
 
     @pytest.mark.parametrize("lam", [2e9, 1e16])
     def test_right_root_next_to_two_pi(self, lam):
@@ -231,8 +227,7 @@ class TestCriticalDelayMa:
                 x = p.omega * p.delta_cr
                 assert abs(math.cos(x) - (1.0 - 2.0 * p.delta_cr * p.omega ** 2 / lam)) < 5e-3
                 assert abs(math.sin(x) + 2.0 * p.delta_cr * p.mu * p.omega / lam) < 5e-3
-                assert abs(characteristic_residual_ma(1j * p.omega, lam, 1.0,
-                                                      p.delta_cr)) < 1e-8
+                assert checks.worst_residual(MOVING_AVERAGE, [p]) < 1e-8
 
     def test_no_root_cases(self):
         assert critical_delay_ma(4.0, 1.0) == []
@@ -639,14 +634,8 @@ class TestRootTrack:
         # residual's terms for Newton to converge at all
         for lam, mu in ((10.0, 1.0), (1000.0, 1.0), (400.0, 2.0)):
             point = critical_delay_ma(lam, mu)[0]
-            rate = crossing_rate(MOVING_AVERAGE, lam, mu, point.delta_cr,
-                                 1j * point.omega)
-            below = root_track(MOVING_AVERAGE, lam, mu, point.delta_cr * (1.0 - 1e-3),
-                               1j * point.omega)
-            above = root_track(MOVING_AVERAGE, lam, mu, point.delta_cr * (1.0 + 1e-3),
-                               1j * point.omega)
-            assert rate.real > 0.0
-            assert below.real < 0.0 < above.real
+            assert checks.crossing_signs(MOVING_AVERAGE, [point],
+                                         1e-3 * point.delta_cr) == [1]
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -699,6 +688,16 @@ class TestHopfCurve:
                                                  "0 < lo <= hi < inf"):
                 hopf_curve(CONSTANT, 1.0, bounds, 3)
 
+    def test_grid_beyond_the_cap_fails_before_it_is_built(self, monkeypatch):
+        # 10^9 points would take 8 GB and 10^9 queries: numpy is never asked
+        linspace = _Counting(np, "linspace")
+        monkeypatch.setattr(stability, "np", linspace)
+        for n_points in (10 ** 9, stability._MAX_HOPF_POINTS + 1):
+            with pytest.raises(ValueError, match=f"^n_points = {n_points} is more "
+                                                 "than the 1000000 allowed$"):
+                hopf_curve(CONSTANT, 1.0, (2.5, 10.0), n_points)
+        assert linspace.calls == 0
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             hopf_curve(CONSTANT, 1.0, (0.0, 10.0), 5)
@@ -706,3 +705,22 @@ class TestHopfCurve:
             hopf_curve(CONSTANT, 1.0, (2.5, 10.0), 0)
         with pytest.raises(ValueError):
             hopf_curve("other", 1.0, (2.5, 10.0), 5)
+
+
+class TestTimeRescaling:
+    """Metamorphic oracle: (lam, mu, delta) -> (c lam, c mu, delta / c) is
+    the time rescaling t -> t / c, so Hopf points move to (delta_cr / c,
+    c omega), crossing rates to c^2 rate, and the difference mode on the
+    rescaled grid to the same values."""
+
+    @pytest.mark.parametrize("model", [CONSTANT, MOVING_AVERAGE])
+    @pytest.mark.parametrize("lam,mu", [(10.0, 1.0), (30.0, 2.0), (100.0, 5.0),
+                                        (1000.0, 1.0), (3.5, 0.5)])
+    @pytest.mark.parametrize("c", [0.1, 3.0, 10.0])
+    def test_rescaled_inputs_give_rescaled_answers(self, model, lam, mu, c):
+        threshold = analysis.analytic_threshold(model, lam, mu)
+        # past the first threshold where there is one, so the kernel runs a cycle
+        delta = 1.2 * threshold if threshold is not None else 1.0
+        params = ModelParams(lam, mu, delta)
+        devs = checks.scaling_deviations(model, params, c, 50.0 * delta, delta / 20.0)
+        assert all(dev < 1e-12 for dev in devs), devs
