@@ -15,31 +15,8 @@ import numpy as np
 
 from . import analysis, models, stability
 
-__all__ = [
-    "SUITE",
-    "classify",
-    "conservation_deviation",
-    "crossing_signs",
-    "manifold_deviation",
-    "order_ratio",
-    "scaling_deviations",
-    "swap_is_exact",
-    "worst_residual",
-]
-
-
-def conservation_deviation(model: str, params: models.ModelParams, horizon: float,
-                           phi1: float, phi2: float) -> float:
-    """``analysis.conservation_check`` of a full-state run from (phi1, phi2)."""
-    traj = models.simulate_reference(model, params, horizon, phi1=phi1, phi2=phi2)
-    return analysis.conservation_check(traj, params)
-
-
-def manifold_deviation(model: str, params: models.ModelParams, horizon: float,
-                       phi: float) -> float:
-    """Max |q1 - q2| of a full-state run from the identical histories phi."""
-    traj = models.simulate_reference(model, params, horizon, phi1=phi, phi2=phi)
-    return float(np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])))
+__all__ = ["SUITE", "crossing_signs", "order_ratio", "scaling_deviations",
+           "swap_is_exact", "worst_residual"]
 
 
 def swap_is_exact(model: str, params: models.ModelParams, horizon: float,
@@ -82,28 +59,17 @@ def crossing_signs(model: str, points, eps: float) -> list[int]:
     +1 where the critical pair enters the right half-plane as the delay
     grows, -1 where it leaves it, and 0 where the roots that ``root_track``
     finds from i omega at ``delta_cr + eps`` and ``delta_cr - eps`` do not
-    lie on the sides that sign predicts."""
+    lie strictly on the sides that sign predicts."""
     signs = []
     for p in points:
-        rate = stability.crossing_rate(model, p.lam, p.mu, p.delta_cr,
-                                       1j * p.omega).real
-        sign = 1 if rate > 0.0 else -1
-        for delta1 in (eps, -eps):
-            root = stability.root_track(model, p.lam, p.mu, p.delta_cr + delta1,
+        sign = analysis._crossing_direction(model, p)
+        for side in (1, -1):
+            root = stability.root_track(model, p.lam, p.mu, p.delta_cr + side * eps,
                                         1j * p.omega)
-            if math.copysign(1.0, root.real) != math.copysign(1.0, rate * delta1):
+            if not side * sign * root.real > 0.0:
                 sign = 0
         signs.append(sign)
     return signs
-
-
-def classify(model: str, params: models.ModelParams, horizon: float,
-             phi1: float | None = None,
-             phi2: float | None = None) -> analysis.StabilityVerdict:
-    """``simulate`` one scenario and classify it after a burn-in of half the
-    run with ``default_thresholds``."""
-    traj = models.simulate(model, params, horizon=horizon, phi1=phi1, phi2=phi2)
-    return analysis.classify_stability(traj, 0.5, *analysis.default_thresholds(params))
 
 
 def scaling_deviations(model: str, params: models.ModelParams, c: float,
@@ -162,20 +128,16 @@ def _equilibrium_fixed_point():
     return dev <= 1e-12, f"max deviation from equilibrium = {dev:.2e}"
 
 
-def _conservation_constant():
-    dev = conservation_deviation(models.CONSTANT, _FIG, 100.0, 5.5, 4.5)
-    return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
-
-
-def _conservation_ma():
-    dev = conservation_deviation(models.MOVING_AVERAGE,
-                                 models.ModelParams(lam=10.0, mu=1.0, delta=4.0),
-                                 100.0, 6.0, 4.5)
+def _conservation(model, params, phi1, phi2):
+    traj = models.simulate_reference(model, params, horizon=100.0, phi1=phi1, phi2=phi2)
+    dev = analysis.conservation_check(traj, params)
     return dev < 1e-6, f"max |q1+q2 - s(t)| = {dev:.2e}"
 
 
 def _invariant_manifold():
-    dev = manifold_deviation(models.CONSTANT, _FIG, 50.0, 7.0)
+    traj = models.simulate_reference(models.CONSTANT, _FIG, horizon=50.0,
+                                     phi1=7.0, phi2=7.0)
+    dev = float(np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])))
     return dev < 1e-12, f"max |q1 - q2| = {dev:.2e}"
 
 
@@ -216,12 +178,14 @@ def _crossing_direction():
 
 
 def _regime_boundary():
-    lo = classify(models.CONSTANT, models.ModelParams(lam=10.0, mu=1.0, delta=0.34), 200.0)
-    hi = classify(models.CONSTANT, models.ModelParams(lam=10.0, mu=1.0, delta=0.40), 200.0)
-    ok = (lo.classification == analysis.SYNCHRONIZED
-          and hi.classification == analysis.OSCILLATORY)
-    return ok, (f"delta=0.34 -> {lo.classification}, "
-                f"delta=0.40 -> {hi.classification}")
+    verdicts = []
+    for delta in (0.34, 0.40):
+        params = models.ModelParams(lam=10.0, mu=1.0, delta=delta)
+        traj = models.simulate(models.CONSTANT, params, horizon=200.0)
+        verdicts.append(analysis.classify_stability(
+            traj, 0.5, *analysis.default_thresholds(params)).classification)
+    ok = verdicts == [analysis.SYNCHRONIZED, analysis.OSCILLATORY]
+    return ok, f"delta=0.34 -> {verdicts[0]}, delta=0.40 -> {verdicts[1]}"
 
 
 def _threshold_vs_simulation():
@@ -257,8 +221,10 @@ def _time_rescaling():
 SUITE = [
     ("mnl-weights-normalised", _mnl_normalised),
     ("equilibrium-fixed-point", _equilibrium_fixed_point),
-    ("conservation-constant", _conservation_constant),
-    ("conservation-moving-average", _conservation_ma),
+    ("conservation-constant", lambda: _conservation(models.CONSTANT, _FIG, 5.5, 4.5)),
+    ("conservation-moving-average",
+     lambda: _conservation(models.MOVING_AVERAGE, models.ModelParams(10.0, 1.0, 4.0),
+                           6.0, 4.5)),
     ("invariant-manifold", _invariant_manifold),
     ("swap-symmetry", _swap_symmetry),
     ("hopf-residual-constant", _residual_constant),

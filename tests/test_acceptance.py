@@ -19,8 +19,16 @@ from qdelay import (
     critical_delay_ma,
     hopf_curve,
     ma_candidate_roots,
+    simulate,
+    simulate_reference,
 )
-from qdelay.analysis import OSCILLATORY, SYNCHRONIZED
+from qdelay.analysis import (
+    OSCILLATORY,
+    SYNCHRONIZED,
+    classify_stability,
+    conservation_check,
+    default_thresholds,
+)
 
 
 def _check(label: str, ok: bool, detail: str) -> None:
@@ -29,9 +37,11 @@ def _check(label: str, ok: bool, detail: str) -> None:
 
 
 def _classify(model, lam, mu, delta, horizon):
+    params = ModelParams(lam, mu, delta)
     start = time.perf_counter()
-    verdict = checks.classify(model, ModelParams(lam, mu, delta), horizon)
-    return verdict, time.perf_counter() - start
+    traj = simulate(model, params, horizon=horizon)
+    elapsed = time.perf_counter() - start
+    return classify_stability(traj, 0.5, *default_thresholds(params)), elapsed
 
 
 def _ma_threshold(d):
@@ -142,8 +152,9 @@ def test_a06_conservation_randomized():
             delta = rng.uniform(*delta_range)
             params = ModelParams(lam, mu, delta)
             q = params.lam / (2.0 * params.mu)
-            worst = max(worst, checks.conservation_deviation(model, params, 50.0,
-                                                             1.3 * q, 0.8 * q))
+            traj = simulate_reference(model, params, horizon=50.0, phi1=1.3 * q,
+                                      phi2=0.8 * q)
+            worst = max(worst, conservation_check(traj, params))
     _check("A06 conservation over 10 randomized scenarios per model",
            worst < 1e-6, f"max |q1+q2 - s(t)| = {worst:.2e} < 1e-6")
 
@@ -185,7 +196,8 @@ def test_a09_monotone_hopf_curve():
 
 def test_a10_symmetry_and_order():
     params = ModelParams(10.0, 1.0, 0.4)
-    manifold_dev = checks.manifold_deviation(CONSTANT, params, 100.0, 7.0)
+    same = simulate_reference(CONSTANT, params, horizon=100.0, phi1=7.0, phi2=7.0)
+    manifold_dev = float(np.max(np.abs(same.states[:, 0] - same.states[:, 1])))
     swap_exact = checks.swap_is_exact(CONSTANT, params, 100.0, 5.5, 4.5)
     ratio = checks.order_ratio(params, 7.0, 4.0, 0.05)
     ok = manifold_dev < 1e-12 and swap_exact and 12.0 < ratio < 20.0

@@ -11,7 +11,6 @@ from qdelay import (
     ModelParams,
     Trajectory,
     analysis,
-    checks,
     critical_delay_constant,
     equilibrium,
     simulate,
@@ -31,7 +30,9 @@ from qdelay.analysis import (
 
 
 def _classify(model, lam, mu, delta, horizon, **history):
-    return checks.classify(model, ModelParams(lam, mu, delta), horizon, **history)
+    p = ModelParams(lam, mu, delta)
+    traj = simulate(model, p, horizon=horizon, **history)
+    return classify_stability(traj, 0.5, *default_thresholds(p))
 
 
 class TestClassifyStability:
@@ -241,7 +242,8 @@ class TestSweep:
             threshold = analysis.analytic_threshold(model, lam, 1.0)
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
-                v = checks.classify(model, p, 60.0)
+                v = classify_stability(simulate(model, p, 60.0), 0.5,
+                                       *default_thresholds(p))
                 if threshold is None:
                     predicted = NOT_APPLICABLE
                 else:

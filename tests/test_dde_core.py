@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from qdelay import NumericalFailureError, Trajectory, checks, integrate, models
+from qdelay import NumericalFailureError, Trajectory, integrate, models
 from qdelay.dde import lag_grid
 
 
@@ -178,8 +178,13 @@ class TestIntegrate:
 
     def test_fourth_order_convergence(self):
         # symmetric case has a closed form; halving h cuts the error ~16x
-        # (simulate_reference integrates the constant model with integrate)
-        ratio = checks.order_ratio(models.ModelParams(10.0, 1.0, 0.4), 7.0, 4.0, 0.05)
+
+        def max_err(h):
+            traj = _integrate(h, 4.0, phi=(7.0, 7.0))
+            exact = 5.0 + 2.0 * np.exp(-traj.times)
+            return np.max(np.abs(traj.states[:, 0] - exact))
+
+        ratio = max_err(0.05) / max_err(0.025)
         assert 12.0 < ratio < 20.0
 
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -177,7 +177,9 @@ class TestConservation:
     def test_fig_scenario_sum_stays_at_fixed_point(self):
         # phi sums to lam/mu, so q1 + q2 should hold exactly at 10
         p = ModelParams(10.0, 1.0, 0.4)
-        assert checks.conservation_deviation(CONSTANT, p, 100.0, 5.5, 4.5) < 1e-6
+        traj = simulate_reference(CONSTANT, p, horizon=100.0, phi1=5.5, phi2=4.5)
+        s = traj.states.sum(axis=1)
+        assert np.max(np.abs(s - 10.0)) < 1e-6
 
 
 class TestSymmetry:
@@ -186,7 +188,8 @@ class TestSymmetry:
     def test_identical_histories_stay_on_diagonal(self):
         for model, delta in ((CONSTANT, 0.4), (MOVING_AVERAGE, 2.0)):
             p = ModelParams(10.0, 1.0, delta)
-            assert checks.manifold_deviation(model, p, 50.0, 7.0) < 1e-12
+            traj = simulate_reference(model, p, horizon=50.0, phi1=7.0, phi2=7.0)
+            assert np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])) < 1e-12
 
     def test_swapping_histories_swaps_trajectories_exactly(self):
         for model, delta in ((CONSTANT, 0.4), (MOVING_AVERAGE, 2.0)):

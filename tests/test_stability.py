@@ -114,8 +114,7 @@ class TestCriticalDelayConstant:
         assert math.isfinite(point.omega) and point.delta_cr > 0.0
         ratio = 2.0 * mu / lam
         assert point.omega == pytest.approx(0.5 * lam * math.sqrt(1.0 - ratio * ratio), rel=1e-14)
-        value = characteristic_residual_constant(1j * point.omega, lam, mu, point.delta_cr)
-        assert abs(value) <= 1e-15 * lam
+        assert checks.worst_residual(CONSTANT, [point]) <= 1e-15 * lam
 
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
@@ -218,8 +217,7 @@ class TestCriticalDelayMa:
         assert len(points) == 1
         point = points[0]
         assert point.delta_cr == pytest.approx(math.pi ** 2 / lam, rel=1e-6)
-        value = characteristic_residual_ma(1j * point.omega, lam, 1.0, point.delta_cr)
-        assert abs(value) <= 1e-12 * lam / point.delta_cr
+        assert checks.worst_residual(MOVING_AVERAGE, [point]) <= 1e-12 * lam / point.delta_cr
 
     def test_validated_points_satisfy_both_conditions(self):
         for lam in (10.0, 30.0, 100.0):
@@ -322,8 +320,7 @@ class TestNewtonPhaseRoots:
             assert len(inside) == 2
             for p in inside:
                 scale = lam / p.delta_cr + mu * mu
-                assert abs(characteristic_residual_ma(1j * p.omega, lam, mu,
-                                                      p.delta_cr)) <= 1e-12 * scale
+                assert checks.worst_residual(MOVING_AVERAGE, [p]) <= 1e-12 * scale
         below = math.nextafter(edge, 0.0)
         assert not [p for p in critical_delay_ma(below, mu)
                     if k * math.pi < p.omega * p.delta_cr < (k + 1) * math.pi]
