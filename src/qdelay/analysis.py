@@ -49,8 +49,9 @@ class StabilityVerdict:
     when the fit was not trusted and its limit would classify the run
     otherwise than ``classification``, so that they never contradict it.
     ``classification`` is synchronized iff the classified amplitude is below
-    ``eps_sync``, oscillatory iff above ``eps_osc``, else inconclusive; see
-    ``classify_stability`` for when the limit replaces the raw amplitude.
+    the first of ``default_thresholds``, oscillatory iff above the second,
+    else inconclusive; see ``classify_difference`` for when the limit
+    replaces the raw amplitude.
     ``growing`` reports whether the amplitude over the last quarter of the
     run exceeds that of the previous quarter; it never changes the
     classification.
@@ -147,19 +148,17 @@ def _classify_amplitude(amplitude: float, eps_sync: float, eps_osc: float) -> st
     return INCONCLUSIVE
 
 
-def classify_stability(traj: Trajectory, burn_in_fraction: float,
-                       eps_sync: float, eps_osc: float) -> StabilityVerdict:
-    """Classify the asymptotic regime of a two-queue trajectory: its
-    difference q1 - q2 on the trajectory's nodes, by ``classify_difference``."""
-    return classify_difference(traj.times, traj.states[:, 0] - traj.states[:, 1],
-                               burn_in_fraction, eps_sync, eps_osc)
+def classify_stability(traj: Trajectory, params: models.ModelParams) -> StabilityVerdict:
+    """Classify the asymptotic regime of a two-queue trajectory of scenario
+    ``params``: its q1 - q2 on the nodes, by ``classify_difference``."""
+    return classify_difference(traj.times, traj.states[:, 0] - traj.states[:, 1], params)
 
 
-def classify_difference(times: np.ndarray, diff: np.ndarray, burn_in_fraction: float,
-                        eps_sync: float, eps_osc: float) -> StabilityVerdict:
+def classify_difference(times: np.ndarray, diff: np.ndarray,
+                        params: models.ModelParams) -> StabilityVerdict:
     """Classify the asymptotic regime of q1 - q2, sampled as ``diff`` on the
     uniform grid ``times`` (as ``simulate_difference`` returns it), from the
-    tail after a burn-in.
+    second half of the run, against ``default_thresholds(params)``.
 
     The raw amplitude is max - min of the difference over the post-burn-in
     nodes.  Near a Hopf threshold the slowest mode relaxes over many
@@ -187,12 +186,9 @@ def classify_difference(times: np.ndarray, diff: np.ndarray, burn_in_fraction: f
     The horizon should still cover several oscillation periods after the
     burn-in.
     """
-    if not 0.0 < burn_in_fraction < 1.0:
-        raise ValueError("burn_in_fraction must lie in (0, 1)")
-    if not 0.0 < eps_sync < eps_osc:
-        raise ValueError("thresholds must satisfy 0 < eps_sync < eps_osc")
+    eps_sync, eps_osc = default_thresholds(params)
     n = diff.size
-    start = math.ceil(burn_in_fraction * (n - 1))
+    start = math.ceil(_BURN_IN_FRACTION * (n - 1))
     tail = diff[start:]
     if tail.size < 8:
         raise ValueError("horizon too short for the requested burn-in")
@@ -251,7 +247,7 @@ def _default_horizon(mu: float, delta: float) -> float:
     return max(200.0 / mu, 50.0 * delta)
 
 
-# bisection steps of locate_transition; burn-in of every simulated verdict
+# bisection steps of locate_transition; burn-in of every verdict
 _BISECTION_STEPS = 10
 _BURN_IN_FRACTION = 0.5
 
@@ -263,8 +259,7 @@ def _observe(model: str, params: models.ModelParams,
     if horizon is None:
         horizon = _default_horizon(params.mu, params.delta)
     times, diff = models.simulate_difference(model, params, horizon)
-    return classify_difference(times, diff, _BURN_IN_FRACTION,
-                               *default_thresholds(params))
+    return classify_difference(times, diff, params)
 
 
 def sweep(model: str, mu: float, lambdas, deltas,
@@ -322,7 +317,9 @@ def locate_transition(model: str, lam: float, mu: float, delta_lo: float,
 
     ``delta_lo`` must classify synchronized and ``delta_hi`` must not; the
     midpoint after 10 halvings estimates the simulated stability boundary,
-    which can be confronted with the analytic critical delay.
+    which can be confronted with the analytic critical delay.  ``delta_lo``
+    may lie above ``delta_hi``, to find a restabilising flip such as the
+    second moving-average threshold.
     """
 
     def observed(delta: float) -> str:

@@ -182,8 +182,7 @@ def _regime_boundary():
     for delta in (0.34, 0.40):
         params = models.ModelParams(lam=10.0, mu=1.0, delta=delta)
         traj = models.simulate(models.CONSTANT, params, horizon=200.0)
-        verdicts.append(analysis.classify_stability(
-            traj, 0.5, *analysis.default_thresholds(params)).classification)
+        verdicts.append(analysis.classify_stability(traj, params).classification)
     ok = verdicts == [analysis.SYNCHRONIZED, analysis.OSCILLATORY]
     return ok, f"delta=0.34 -> {verdicts[0]}, delta=0.40 -> {verdicts[1]}"
 

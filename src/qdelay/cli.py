@@ -2,7 +2,8 @@
 Hopf curves, run regime sweeps, and self-verify the numerics.
 
 All configuration is by flags; CSV goes to --out or standard output.  Exit
-codes: 0 success, 1 usage or validation error, 2 numerical failure.
+codes: 0 success, 1 usage or validation error, 2 numerical failure or an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -178,11 +179,12 @@ def _trajectory_blocks(traj: Trajectory):
         yield _percent_rows(chunk) if text is None else text
 
 
-def write_trajectory_csv(traj: Trajectory, model: str, path: str | None) -> None:
+def write_trajectory_csv(traj: Trajectory, path: str | None) -> None:
     """Write one row per node, each value as ``"%.9g"`` formats it.
 
-    Columns are ``t,q1,q2`` for the constant-delay model and
-    ``t,q1,q2,m1,m2`` for the moving-average model.  Rows are formatted
+    Columns are ``t,q1,q2`` for a 2-dimensional trajectory (constant-delay
+    model) and ``t,q1,q2,m1,m2`` for a 4-dimensional one (moving-average
+    model); any other dimension is a ``ValueError``.  Rows are formatted
     and written in blocks of ``_CSV_CHUNK_ROWS``, by numpy where that gives
     the bytes of ``"%.9g"`` and by the ``%`` operator otherwise.
 
@@ -208,17 +210,9 @@ def write_trajectory_csv(traj: Trajectory, model: str, path: str | None) -> None
     ``|d - floor(d) - 0.5| > 1e-6``; any other block is formatted value by
     value with ``"%.9g"``.
     """
-    if model == models.CONSTANT:
-        header = "t,q1,q2"
-        expected = 2
-    elif model == models.MOVING_AVERAGE:
-        header = "t,q1,q2,m1,m2"
-        expected = 4
-    else:
-        raise ValueError(f"unknown model kind: {model!r}")
-    if traj.dimension != expected:
-        raise ValueError(f"trajectory dimension {traj.dimension} does not match "
-                         f"model {model!r}")
+    header = {2: "t,q1,q2", 4: "t,q1,q2,m1,m2"}.get(traj.dimension)
+    if header is None:
+        raise ValueError(f"trajectory dimension {traj.dimension}: expected 2 or 4")
     _write_lines(header, _trajectory_blocks(traj), path)
 
 
@@ -300,7 +294,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--phi1 and --phi2 must be given together")
     traj = models.simulate(args.model, params, horizon=args.horizon,
                            step=args.step, phi1=args.phi1, phi2=args.phi2)
-    write_trajectory_csv(traj, args.model, args.out)
+    write_trajectory_csv(traj, args.out)
     return 0
 
 
@@ -348,6 +342,10 @@ def _cmd_sweep(args) -> int:
         trend = "growing" if r.growing else "decaying"
         print(f"# inconclusive at lambda={_fmt(r.lam)} delta={_fmt(r.delta)}: "
               f"amplitude {_fmt(r.amplitude)}, {trend}", file=sys.stderr)
+    for r in rows:
+        if r.observed == analysis.FAILED:
+            print(f"# failed at lambda={_fmt(r.lam)} delta={_fmt(r.delta)}: {r.error}",
+                  file=sys.stderr)
     return 0
 
 
@@ -393,8 +391,11 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailureError, stability.ConvergenceError, OSError) as exc:
+    except (NumericalFailureError, stability.ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

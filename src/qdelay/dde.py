@@ -1,6 +1,6 @@
 """Fixed-lag delay differential equation integration by the method of steps.
 
-The integrator advances a d-dimensional system x'(t) = f(t, x(t), x(t - lag))
+The integrator advances a d-dimensional system x'(t) = f(x(t), x(t - lag))
 from a constant history, x(t) = x0 for t <= 0, with the classical
 fourth-order Runge-Kutta scheme on a uniform grid.  The history is node 0
 itself: every lagged read before the grid returns ``states[0]``.  The
@@ -27,7 +27,7 @@ __all__ = [
     "lag_grid",
 ]
 
-DdeRhs = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+DdeRhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class NumericalFailureError(RuntimeError):
@@ -178,7 +178,8 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, x, x_lagged)``, deterministic and side-effect free.
+        ``rhs(x, x_lagged)``, deterministic and side-effect free; the
+        system is autonomous, so the rhs sees no time.
     lag : float
         The delay, finite and >= 0; at 0 the system is an ODE.
     x0 : array_like
@@ -223,7 +224,7 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
             return y0 + 0.5 * (y1 - y0) + 0.125 * h * (derivs[i] - derivs[i + 1])
         return x0
 
-    derivs[0] = rhs(0.0, x0, x0)
+    derivs[0] = rhs(x0, x0)
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -232,34 +233,30 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(n):
-                t = k * h
-                t1 = (k + 1) * h
                 x = states[k]
                 k1 = derivs[k]
                 if ode:
                     s = x + half * k1
-                    k2 = rhs(t + half, s, s)
+                    k2 = rhs(s, s)
                     s = x + half * k2
-                    k3 = rhs(t + half, s, s)
+                    k3 = rhs(s, s)
                     s = x + h * k3
-                    k4 = rhs(t1, s, s)
+                    k4 = rhs(s, s)
                 else:
                     xm = mid_lag(k)
                     xe = node_lag(k + 1)
                     s = x + half * k1
-                    k2 = rhs(t + half, s, xm)
+                    k2 = rhs(s, xm)
                     s = x + half * k2
-                    k3 = rhs(t + half, s, xm)
+                    k3 = rhs(s, xm)
                     s = x + h * k3
-                    k4 = rhs(t1, s, xe)
+                    k4 = rhs(s, xe)
                 xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 if not np.isfinite(xn).all():
-                    raise NumericalFailureError("integration produced a non-finite state", t1)
+                    raise NumericalFailureError("integration produced a non-finite state",
+                                                (k + 1) * h)
                 states[k + 1] = xn
-                if ode:
-                    derivs[k + 1] = rhs(t1, xn, xn)
-                else:
-                    derivs[k + 1] = rhs(t1, xn, node_lag(k + 1))
+                derivs[k + 1] = rhs(xn, xn if ode else xe)
         except ValueError:
             # the rhs may reject a stage state that overflowed within step k
             if not np.isfinite(s).all():

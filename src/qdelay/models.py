@@ -104,7 +104,7 @@ def equilibrium(params: ModelParams) -> float:
     return params.lam / (2.0 * params.mu)
 
 
-def constant_delay_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarray:
+def constant_delay_rhs(state, lagged, params: ModelParams) -> np.ndarray:
     """Queue derivatives when the choice rule sees the lagged queue pair."""
     w1, w2 = mnl_weights(lagged[0], lagged[1])
     lam = params.lam
@@ -112,7 +112,7 @@ def constant_delay_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarr
     return np.array([lam * w1 - mu * state[0], lam * w2 - mu * state[1]])
 
 
-def ma_rhs(t: float, state, lagged, params: ModelParams) -> np.ndarray:
+def ma_rhs(state, lagged, params: ModelParams) -> np.ndarray:
     """Derivatives of (q1, q2, m1, m2); the choice rule sees (m1, m2)."""
     if params.delta <= 0.0:
         raise ValueError(_NEEDS_WINDOW)
@@ -175,9 +175,9 @@ def simulate_reference(model: str, params: ModelParams, horizon: float,
     """
     p1, p2, h = _scenario(model, params, step, phi1, phi2)
     if model == CONSTANT:
-        return integrate(lambda t, x, xl: constant_delay_rhs(t, x, xl, params),
+        return integrate(lambda x, xl: constant_delay_rhs(x, xl, params),
                          params.delta, (p1, p2), h, horizon)
-    return integrate(lambda t, x, xl: ma_rhs(t, x, xl, params),
+    return integrate(lambda x, xl: ma_rhs(x, xl, params),
                      params.delta, (p1, p2, p1, p2), h, horizon)
 
 

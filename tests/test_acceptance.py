@@ -27,7 +27,6 @@ from qdelay.analysis import (
     SYNCHRONIZED,
     classify_stability,
     conservation_check,
-    default_thresholds,
 )
 
 
@@ -41,7 +40,7 @@ def _classify(model, lam, mu, delta, horizon):
     start = time.perf_counter()
     traj = simulate(model, params, horizon=horizon)
     elapsed = time.perf_counter() - start
-    return classify_stability(traj, 0.5, *default_thresholds(params)), elapsed
+    return classify_stability(traj, params), elapsed
 
 
 def _ma_threshold(d):

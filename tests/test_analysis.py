@@ -12,6 +12,7 @@ from qdelay import (
     Trajectory,
     analysis,
     critical_delay_constant,
+    critical_delay_ma,
     equilibrium,
     simulate,
 )
@@ -32,7 +33,7 @@ from qdelay.analysis import (
 def _classify(model, lam, mu, delta, horizon, **history):
     p = ModelParams(lam, mu, delta)
     traj = simulate(model, p, horizon=horizon, **history)
-    return classify_stability(traj, 0.5, *default_thresholds(p))
+    return classify_stability(traj, p)
 
 
 class TestClassifyStability:
@@ -76,13 +77,9 @@ class TestClassifyStability:
 
     def test_parameter_validation(self):
         p = ModelParams(10.0, 1.0, 0.4)
-        traj = simulate(CONSTANT, p, horizon=50.0)
-        with pytest.raises(ValueError):
-            classify_stability(traj, 0.0, 1e-3, 1e-2)
-        with pytest.raises(ValueError):
-            classify_stability(traj, 0.5, 1e-2, 1e-3)
+        traj = simulate(CONSTANT, p, horizon=0.1)
         with pytest.raises(ValueError):  # burn-in leaves too little tail
-            classify_stability(traj, 0.9999, 1e-3, 1e-2)
+            classify_stability(traj, p)
 
     def test_envelope_rate_matches_tracked_root(self):
         # just below the 2.1448 threshold the T = 300 tail still swings by
@@ -242,8 +239,7 @@ class TestSweep:
             threshold = analysis.analytic_threshold(model, lam, 1.0)
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
-                v = classify_stability(simulate(model, p, 60.0), 0.5,
-                                       *default_thresholds(p))
+                v = classify_stability(simulate(model, p, 60.0), p)
                 if threshold is None:
                     predicted = NOT_APPLICABLE
                 else:
@@ -267,6 +263,13 @@ class TestLocateTransition:
                                  0.5 * point.delta_cr, 1.5 * point.delta_cr)
         assert abs(flip - point.delta_cr) / point.delta_cr < 0.05
 
+    @pytest.mark.parametrize("branch,lo,hi", [(0, 1.5, 3.0), (1, 7.0, 5.0)])
+    def test_moving_average_flips_within_one_percent_of_analytic(self, branch, lo, hi):
+        # onset from below, and the restabilisation from a reversed bracket
+        point = critical_delay_ma(10.0, 1.0)[branch]
+        flip = locate_transition(MOVING_AVERAGE, 10.0, 1.0, lo, hi)
+        assert abs(flip - point.delta_cr) / point.delta_cr < 0.01
+
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             locate_transition(CONSTANT, 10.0, 1.0, 0.5, 1.0)  # lo not synchronized
@@ -288,13 +291,12 @@ class TestNearThresholdDecay:
         # integrator never reads ahead of the node it is computing
         p = ModelParams(10.0, 1.0, 2.0)
         full = simulate(MOVING_AVERAGE, p, horizon=2000.0)
-        eps_sync, eps_osc = default_thresholds(p)
         verdicts = {}
         for horizon in (300.0, 1000.0, 2000.0):
             n = int(math.floor(horizon / full.step + 1e-9)) + 1
             traj = Trajectory(step=full.step, states=full.states[:n],
                               derivs=full.derivs[:n], lag=full.lag)
-            v = classify_stability(traj, 0.5, eps_sync, eps_osc)
+            v = classify_stability(traj, p)
             verdicts[horizon] = v
             assert not v.growing
         assert verdicts[300.0].amplitude > verdicts[1000.0].amplitude \

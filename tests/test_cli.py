@@ -77,11 +77,11 @@ class TestSimulateCommand:
                     "--delta", "0.4", "--horizon", "1", "--phi1", "5"])
         assert code == 1
 
-    def test_write_rejects_model_dimension_mismatch(self, tmp_path):
-        p = ModelParams(10.0, 1.0, 0.4)
-        traj = simulate("constant", p, horizon=1.0)
-        with pytest.raises(ValueError):
-            write_trajectory_csv(traj, "moving-average", str(tmp_path / "x.csv"))
+    def test_write_refuses_a_three_column_trajectory(self, tmp_path):
+        states = np.ones((5, 3))
+        traj = Trajectory(step=0.01, states=states, derivs=np.zeros_like(states), lag=0.0)
+        with pytest.raises(ValueError, match="dimension 3"):
+            write_trajectory_csv(traj, str(tmp_path / "x.csv"))
 
 
 class TestCriticalDelayCommand:
@@ -211,6 +211,17 @@ class TestSweepCommand:
         assert run(["sweep", "--model", "constant", "--mu", "1",
                     "--lambdas", "10,banana", "--deltas", "0.2"]) == 1
 
+    def test_failed_row_reports_its_error(self, capsys):
+        assert run(["sweep", "--model", "moving-average", "--mu", "1",
+                    "--lambdas", "10", "--deltas", "0,2.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split(",")[4] == "failed"
+        assert captured.err.splitlines() == [
+            "# 2 rows, 1 disagreements, 0 inconclusive",
+            "# failed at lambda=10 delta=0: the moving-average model needs delta > 0; "
+            "use the constant model at delta = 0",
+        ]
+
 
 class TestExitCodes:
     def test_unknown_flag(self):
@@ -224,10 +235,12 @@ class TestExitCodes:
         assert run(["simulate", "--model", "moving-average", "--lambda", "10",
                     "--mu", "1", "--delta", "0", "--horizon", "1"]) == 1
 
-    def test_unwritable_output_is_exit_two(self, tmp_path):
+    def test_unwritable_output_is_exit_two(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert run(["simulate", "--model", "constant", "--lambda", "10", "--mu", "1",
                     "--delta", "0.4", "--horizon", "1", "--out", str(missing)]) == 2
+        assert capsys.readouterr().err == \
+            f"cannot write output: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_stage_overflow_at_zero_delta_is_exit_two(self, tmp_path, capsys):
         # mu h = 50 blows up; at delta = 0 a stage overflows before a node does
@@ -344,8 +357,8 @@ class TestModuleEntry:
 class TestTrajectoryCsv:
     """The block-formatted trajectory writer against per-value ``_fmt`` rows."""
 
-    @pytest.mark.parametrize("model,dim", [("constant", 2), ("moving-average", 4)])
-    def test_blocks_match_per_value_formatting(self, tmp_path, model, dim):
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_blocks_match_per_value_formatting(self, tmp_path, dim):
         rows = 2 * cli._CSV_CHUNK_ROWS + 37
         rng = np.random.default_rng(7)
         states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 301, (rows, dim))
@@ -353,7 +366,7 @@ class TestTrajectoryCsv:
         states[6:9, -1] = [-1.0, 123456789.5, -2.5e-7]
         traj = Trajectory(step=0.01, states=states, derivs=np.zeros_like(states), lag=0.0)
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, model, str(out))
+        write_trajectory_csv(traj, str(out))
         header = "t,q1,q2" if dim == 2 else "t,q1,q2,m1,m2"
         expected = [header] + [",".join(cli._fmt(v) for v in (t, *state))
                                for t, state in zip(traj.times, traj.states)]
@@ -404,7 +417,7 @@ class TestFastRows:
     def _write(tmp_path, states, step=0.01):
         traj = Trajectory(step=step, states=states, derivs=np.zeros_like(states), lag=0.0)
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, "moving-average", str(out))
+        write_trajectory_csv(traj, str(out))
         expected = "t,q1,q2,m1,m2\n" + _percent_text(np.column_stack((traj.times, states)))
         return out.read_bytes(), expected.encode()
 

@@ -18,8 +18,8 @@ def _constant_scenario(lam=10.0, mu=1.0, delta=0.4, phi=(5.5, 4.5)):
     """Parameters, right-hand side and initial state of the constant model."""
     params = models.ModelParams(lam=lam, mu=mu, delta=delta)
 
-    def rhs(t, x, xl):
-        return models.constant_delay_rhs(t, x, xl, params)
+    def rhs(x, xl):
+        return models.constant_delay_rhs(x, xl, params)
 
     return params, rhs, phi
 
@@ -163,10 +163,9 @@ class TestIntegrate:
         traj = integrate(rhs, params.delta, x0, 0.01, 3.0)
         m = round(params.delta / traj.step)
         for k in (0, 1, m - 1, m, m + 1, 200, 300):
-            t = traj.times[k]
             # before the grid the lagged state is the history, node 0
             lagged = traj.states[max(k - m, 0)]
-            expected = models.constant_delay_rhs(t, traj.states[k], lagged, params)
+            expected = models.constant_delay_rhs(traj.states[k], lagged, params)
             np.testing.assert_array_equal(traj.derivs[k], expected)
         np.testing.assert_array_equal(traj.states[0], x0)
 
@@ -190,7 +189,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_raises_with_time(self):
         with pytest.raises(NumericalFailureError) as info:
-            integrate(lambda t, x, xl: x * x, 0.0, [5.0], 0.05, 5.0)
+            integrate(lambda x, xl: x * x, 0.0, [5.0], 0.05, 5.0)
         assert 0.0 < info.value.time <= 5.0
 
     def test_config_validation(self):

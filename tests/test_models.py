@@ -99,12 +99,12 @@ class TestConstantDelayRhs:
     P = ModelParams(10.0, 1.0, 0.4)
 
     def test_equilibrium_is_stationary(self):
-        d = constant_delay_rhs(0.0, np.array([5.0, 5.0]), np.array([5.0, 5.0]), self.P)
+        d = constant_delay_rhs(np.array([5.0, 5.0]), np.array([5.0, 5.0]), self.P)
         np.testing.assert_array_equal(d, 0.0)
 
     def test_closed_form_weight(self):
         # lagged gap of 1 makes w1 = 1 / (1 + e)
-        d = constant_delay_rhs(0.0, np.array([5.0, 5.0]), np.array([5.5, 4.5]), self.P)
+        d = constant_delay_rhs(np.array([5.0, 5.0]), np.array([5.5, 4.5]), self.P)
         w1 = 1.0 / (1.0 + math.e)
         np.testing.assert_allclose(d, [10.0 * w1 - 5.0, 10.0 * (1.0 - w1) - 5.0],
                                    rtol=1e-14)
@@ -115,7 +115,7 @@ class TestConstantDelayRhs:
         for _ in range(100):
             state = RNG.uniform(-5.0, 30.0, 2)
             lagged = RNG.uniform(-5.0, 30.0, 2)
-            d = constant_delay_rhs(0.0, state, lagged, self.P)
+            d = constant_delay_rhs(state, lagged, self.P)
             assert d.sum() == pytest.approx(10.0 - state.sum(), rel=1e-12, abs=1e-12)
 
 
@@ -124,12 +124,12 @@ class TestMaRhs:
 
     def test_equilibrium_is_stationary(self):
         x = np.full(4, 5.0)
-        np.testing.assert_array_equal(ma_rhs(0.0, x, x, self.P), 0.0)
+        np.testing.assert_array_equal(ma_rhs(x, x, self.P), 0.0)
 
     def test_example_values(self):
         state = np.array([5.0, 5.0, 5.5, 4.5])
         lagged = np.array([4.0, 6.0, 0.0, 0.0])
-        d = ma_rhs(0.0, state, lagged, self.P)
+        d = ma_rhs(state, lagged, self.P)
         w1 = 1.0 / (1.0 + math.e)
         np.testing.assert_allclose(
             d, [10.0 * w1 - 5.0, 10.0 * (1.0 - w1) - 5.0, 0.5, -0.5], rtol=1e-14)
@@ -138,14 +138,14 @@ class TestMaRhs:
         for _ in range(100):
             state = RNG.uniform(-5.0, 30.0, 4)
             lagged = RNG.uniform(-5.0, 30.0, 4)
-            d = ma_rhs(0.0, state, lagged, self.P)
+            d = ma_rhs(state, lagged, self.P)
             assert d[0] + d[1] == pytest.approx(10.0 - state[0] - state[1],
                                                 rel=1e-12, abs=1e-12)
 
     def test_zero_delta_rejected(self):
         p = ModelParams(10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            ma_rhs(0.0, np.full(4, 5.0), np.full(4, 5.0), p)
+            ma_rhs(np.full(4, 5.0), np.full(4, 5.0), p)
         for run in (simulate, simulate_reference):
             with pytest.raises(ValueError):
                 run(MOVING_AVERAGE, p, horizon=1.0)
