@@ -394,6 +394,8 @@ def run(argv) -> int:
     except (NumericalFailureError, stability.ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # for main, which treats a closed pipe as the end of the output
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -86,10 +86,12 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
 
 
 def _hermite(theta, h, y0, y1, m0, m1):
-    # y0-anchored cubic Hermite: exact at theta = 0 and on constant segments.
-    s = theta * theta * (3.0 - 2.0 * theta)
-    a = theta * (theta - 1.0)
-    return y0 + s * (y1 - y0) + h * a * ((theta - 1.0) * m0 + theta * m1)
+    # y0-anchored cubic Hermite: exact on constant segments.  At theta = 0 it
+    # may overflow unwarned, as eval returns the node there
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = theta * theta * (3.0 - 2.0 * theta)
+        a = theta * (theta - 1.0)
+        return y0 + s * (y1 - y0) + h * a * ((theta - 1.0) * m0 + theta * m1)
 
 
 @dataclass(eq=False, repr=False)
@@ -130,41 +132,27 @@ class Trajectory:
     def eval(self, t):
         """Dense evaluation at scalar or array times in [-lag, horizon].
 
-        Node times return the stored node state exactly; times before zero
-        return the history, ``states[0]``.
+        Returns shape ``t.shape + (dim,)``.  A time clipped to [0, horizon]
+        is read on its segment ``times[k] <= t < times[k + 1]`` by the cubic
+        Hermite at ``theta = (t - times[k]) / step``; at ``theta = 0`` (node
+        times, the front, the history before zero) the node is returned.
         """
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tt = np.atleast_1d(t_arr).ravel()
-        if np.isnan(tt).any():
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
             raise ValueError("dense evaluation at a NaN time")
-        front = self.times[-1]
-        tol = 1e-9 * max(1.0, front)
-        if np.any(tt > front + tol):
+        times = self.times
+        front = times[-1]
+        if np.any(t > front + 1e-9 * max(1.0, front)):
             raise ValueError(f"dense evaluation beyond the computed front t = {front:g}")
-        if np.any(tt < -self.lag - 1e-9 * max(1.0, self.lag)):
+        if np.any(t < -self.lag - 1e-9 * max(1.0, self.lag)):
             raise ValueError(f"dense evaluation before the history start t = {-self.lag:g}")
-        out = np.empty((tt.size, self.dimension))
-        neg = tt < 0.0
-        out[neg] = self.states[0]
-        pos = ~neg
-        if pos.any():
-            tp = np.minimum(tt[pos], front)
-            n = self.times.size
-            idx = np.minimum(np.searchsorted(self.times, tp), n - 1)
-            hit = self.times[idx] == tp
-            res = np.empty((tp.size, self.dimension))
-            if hit.any():
-                res[hit] = self.states[idx[hit]]
-            miss = ~hit
-            if miss.any():
-                k = np.clip(idx[miss] - 1, 0, n - 2)
-                theta = ((tp[miss] - self.times[k]) / self.step)[:, None]
-                res[miss] = _hermite(theta, self.step,
-                                     self.states[k], self.states[k + 1],
-                                     self.derivs[k], self.derivs[k + 1])
-            out[pos] = res
-        return out[0] if scalar else out.reshape(t_arr.shape + (self.dimension,))
+        t = np.clip(t, 0.0, front)
+        k = np.searchsorted(times, t, "right") - 1
+        j = np.minimum(k + 1, times.size - 1)
+        theta = ((t - times[k]) / self.step)[..., None]
+        node = self.states[k]
+        return np.where(theta == 0.0, node, _hermite(theta, self.step, node, self.states[j],
+                                                     self.derivs[k], self.derivs[j]))
 
     def __repr__(self):
         return (f"Trajectory(nodes={self.states.shape[0]}, dim={self.dimension}, "
@@ -199,7 +187,7 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     ValueError
         Invalid initial state, lag, step or horizon.
     NumericalFailureError
-        A node or a stage went non-finite; carries the failing time.
+        A stage, node or derivative went non-finite; carries the failing time.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
@@ -252,11 +240,12 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
                     s = x + h * k3
                     k4 = rhs(s, xe)
                 xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                if not np.isfinite(xn).all():
+                dn = rhs(xn, xn if ode else xe) if np.isfinite(xn).all() else xn
+                if not np.isfinite(dn).all():
                     raise NumericalFailureError("integration produced a non-finite state",
                                                 (k + 1) * h)
                 states[k + 1] = xn
-                derivs[k + 1] = rhs(xn, xn if ode else xe)
+                derivs[k + 1] = dn
         except ValueError:
             # the rhs may reject a stage state that overflowed within step k
             if not np.isfinite(s).all():

@@ -236,10 +236,11 @@ def simulate(model: str, params: ModelParams, horizon: float,
     Raises
     ------
     NumericalFailureError
-        At the time of the first node where ``s``, ``u`` (or ``v``), or an
-        assembled state or derivative, is not finite.  The reference fails
-        where one of its RK4 stages or nodes overflows; on a blow-up that
-        is the same node or one step apart.
+        At the time of the first node where ``s``, ``u``, ``u'/2`` (or
+        ``v``), or an assembled state or derivative, is not finite.  The
+        reference fails where a stage, a node or its derivative overflows:
+        on a blow-up mostly the same node, but near overflow the paths do
+        different arithmetic, and a stage the kernel never forms can fail.
     """
     p1, p2, m, h, n, series = _difference(model, params, horizon, step, phi1, phi2)
     for i in range(len(series)):
@@ -261,7 +262,7 @@ def simulate(model: str, params: ModelParams, horizon: float,
         s = s_inf + c * np.exp(k_log)
         s[0] = s0
         _split(states, 0, 0.5 * s, 0.5 * u)
-        _split(derivs, 0, 0.5 * (lam - mu * s), 0.5 * du)
+        _split(derivs, 0, 0.5 * (lam - mu * s), du)
         if model == MOVING_AVERAGE:
             inv = 1.0 / params.delta
             lead = np.minimum(np.arange(size), m)
@@ -304,8 +305,8 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
     step taken as one affine increment of ``u``, so ``u`` equals ``q1 - q2``
     of ``simulate_reference`` up to rounding, on identical node times.
     Arguments are those of ``simulate``, which accepts and rejects the same
-    histories; the first node at which ``u`` (or ``v``) is not finite
-    raises ``NumericalFailureError``.
+    histories; the first node at which ``u``, ``u'/2`` (or ``v``) is not
+    finite raises ``NumericalFailureError``, where ``simulate`` does too.
 
     Returns
     -------
@@ -324,8 +325,8 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
     """Run the difference-mode kernel of one scenario.
 
     Returns ``(phi1, phi2, m, h, n, series)``: the history constants, the
-    ``lag_grid`` and the kernel's per-node lists, ``[u, u']`` or, for the
-    moving-average model, ``[u, u', v / 2]``.  The lists stop early, at
+    ``lag_grid`` and the kernel's per-node lists, ``[u, u'/2]`` or, for the
+    moving-average model, ``[u, u'/2, v / 2]``.  The lists stop early, at
     ``len(u) <= n``, when node ``len(u)`` went non-finite.
     """
     p1, p2, h = _scenario(model, params, step, phi1, phi2)
@@ -339,11 +340,15 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
     return p1, p2, m, h, n, series
 
 
-# The kernels below store u and u' per node; the lagged reads stream over
-# those lists.  Step k reads the lagged node k + 1 - m and, for its middle
-# stages, the cubic Hermite midpoint of the segment [k - m, k + 1 - m]; for
-# k < m, the history phase, the lag reads the constant history (at k = m - 1
-# the lagged node is node 0, which holds the history value).
+# The kernels below store u and u'/2 per node; the lagged reads stream over
+# those lists.  u'/2 is the difference half of the full-state derivatives,
+# q1', q2' = s'/2 +- u'/2, so it overflows where they do (u' can do so a
+# step earlier); halving is exact above the subnormals, so no state changes.
+# Step k reads the lagged node k + 1 - m and, for its middle stages, the
+# cubic Hermite midpoint y0 + (y1 - y0) / 2 + (h / 4) (d0 - d1) of the
+# segment [k - m, k + 1 - m], d the halves; for k < m, the history phase,
+# the lag reads the constant history (at k = m - 1 the lagged node is node
+# 0, which holds the history value).
 #
 # Once a step's stage tanh values T_i are known, RK4 on u' = g - mu u with
 # g = -lam T is affine in u: one step is the increment
@@ -364,8 +369,9 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 # bias every step the same way.
 #
 # A non-finite u (or w) never becomes finite again in these steps, so the
-# kernels test finiteness once per lag block of m steps, whose lagged reads
-# all precede the block, and cut the lists before the first non-finite node.
+# kernels test u once per lag block of m steps, whose lagged reads all
+# precede the block, and cut the lists before the first node where u, u'/2
+# (or w) is not finite; the ODE kernel tests u'/2 every step.
 # On the regime-sweep cells a step costs about 0.4 us (constant model) and
 # 0.8 us (moving-average model), against 0.6 and 1.0 us stepped stage by
 # stage, on a shared 2-core x86 host under CPython 3.11.
@@ -399,31 +405,31 @@ def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
     r, c_end = _growth(z), -lam * h / 6.0
     c_lag = c_end * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
     c_mid = c_end * (4.0 + z * (2.0 + 0.5 * z))
-    eighth, neg_lam = 0.125 * h, -lam
+    quarter, neg_half_lam, half_mu = 0.25 * h, -0.5 * lam, 0.5 * mu
     t_lag = tanh(0.5 * u0)
-    g0 = neg_lam * t_lag
+    g0 = neg_half_lam * t_lag
     x = u0
-    u, du = [x], [g0 - mu * x]
+    u, du = [x], [g0 - half_mu * x]
     u_append, du_append = u.append, du.append
     # the history phase: every stage reads the history value u0
     c_hist = (c_lag + c_mid + c_end) * t_lag
     for _ in range(min(m, n)):
         x = x + (r * x + c_hist)
         u_append(x)
-        du_append(g0 - mu * x)
+        du_append(g0 - half_mu * x)
     lagged = zip(u, du)
     y0, d0 = next(lagged)
     for start in range(m, n, m):
         if not isfinite(x):
             break
         for y1, d1 in islice(lagged, min(m, n - start)):
-            t_mid = tanh(0.5 * (y0 + 0.5 * (y1 - y0) + eighth * (d0 - d1)))
+            t_mid = tanh(0.5 * (y0 + 0.5 * (y1 - y0) + quarter * (d0 - d1)))
             t_end = tanh(0.5 * y1)
             x = x + (r * x + c_lag * t_lag + c_mid * t_mid + c_end * t_end)
             u_append(x)
-            du_append(neg_lam * t_end - mu * x)
+            du_append(neg_half_lam * t_end - half_mu * x)
             y0, d0, t_lag = y1, d1, t_end
-    return _finite_prefix([u, du], [u])
+    return _finite_prefix([u, du], [u, du])
 
 
 def _difference_ode(params: ModelParams, u0: float, h: float,
@@ -431,10 +437,12 @@ def _difference_ode(params: ModelParams, u0: float, h: float,
     lam, mu = params.lam, params.mu
     tanh, isfinite = math.tanh, math.isfinite
     half, sixth = 0.5 * h, h / 6.0
+    neg_half_lam, half_mu = -0.5 * lam, 0.5 * mu
     x = u0
-    k1 = -lam * tanh(0.5 * x) - mu * x
-    u, du = [x], [k1]
+    d = neg_half_lam * tanh(0.5 * x) - half_mu * x
+    u, du = [x], [d]
     for k in range(n):
+        k1 = 2.0 * d
         s = x + half * k1
         k2 = -lam * tanh(0.5 * s) - mu * s
         s = x + half * k2
@@ -442,11 +450,11 @@ def _difference_ode(params: ModelParams, u0: float, h: float,
         s = x + h * k3
         k4 = -lam * tanh(0.5 * s) - mu * s
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not isfinite(x):
+        d = neg_half_lam * tanh(0.5 * x) - half_mu * x
+        if not isfinite(d):  # as it is wherever x is
             break
-        k1 = -lam * tanh(0.5 * x) - mu * x
         u.append(x)
-        du.append(k1)
+        du.append(d)
     return [u, du]
 
 
@@ -464,11 +472,11 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
     z2, gh2, gh = 0.5 * z, -0.5 * lam * h, -lam * h
     q = 0.25 * h / params.delta
     q2, q3 = 2.0 * q, q / 3.0
-    eighth, neg_lam = 0.125 * h, -lam
+    quarter, neg_half_lam, half_mu = 0.25 * h, -0.5 * lam, 0.5 * mu
     # the window averages start at the constant history, so v(0) = u(0)
     x, w = u0, 0.5 * u0
     t1 = tanh(w)
-    u, du, ws = [x], [neg_lam * t1 - mu * x], [w]
+    u, du, ws = [x], [neg_half_lam * t1 - half_mu * x], [w]
     u_append, du_append, w_append = u.append, du.append, ws.append
     # the history reads as a constant lagged stream, whose Hermite midpoint
     # is the history value itself
@@ -478,7 +486,7 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
         if not (isfinite(x) and isfinite(w)):
             break
         for y1, d1 in islice(lagged, min(m, n - start)):
-            y_mid = y0 + 0.5 * (y1 - y0) + eighth * (d0 - d1)
+            y_mid = y0 + 0.5 * (y1 - y0) + quarter * (d0 - d1)
             p1 = x - y0
             t2 = tanh(w + q * p1)
             s2 = x + (z2 * x + gh2 * t1)
@@ -492,10 +500,10 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
             w = w + q3 * (p1 + 2.0 * (p2 + p3) + (s4 - y1))
             t1 = tanh(w)
             u_append(x)
-            du_append(neg_lam * t1 - mu * x)
+            du_append(neg_half_lam * t1 - half_mu * x)
             w_append(w)
             y0, d0 = y1, d1
-    return _finite_prefix([u, du, ws], [u, ws])
+    return _finite_prefix([u, du, ws], [u, du, ws])
 
 
 def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:

@@ -353,6 +353,20 @@ class TestModuleEntry:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_closed_pipe_ends_the_output_without_error(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does,
+        # while the 200k-row CSV is still being written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qdelay", "simulate", "--model", "constant",
+             "--lambda", "10", "--mu", "1", "--delta", "1", "--horizon", "2000"],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "t,q1,q2\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert "cannot write output" not in err
+
 
 class TestTrajectoryCsv:
     """The block-formatted trajectory writer against per-value ``_fmt`` rows."""

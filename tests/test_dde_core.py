@@ -192,6 +192,16 @@ class TestIntegrate:
             integrate(lambda x, xl: x * x, 0.0, [5.0], 0.05, 5.0)
         assert 0.0 < info.value.time <= 5.0
 
+    def test_non_finite_node_derivative_fails_at_that_node(self):
+        # y' = -y at h = 1 visits 1, 0.5, 0.75 and 0.25 in its stages and
+        # lands on 0.375, the only value at which z' overflows
+        def rhs(x, xl):
+            return np.array([-x[0], 1e300 * (1e10 if 0.3 < x[0] < 0.45 else 1.0)])
+
+        with pytest.raises(NumericalFailureError) as info:
+            integrate(rhs, 0.0, [1.0, 0.0], 1.0, 5.0)
+        assert info.value.time == 1.0
+
     def test_config_validation(self):
         # lag_grid checks the grid inputs before anything is integrated
         params, rhs, x0 = _constant_scenario()
@@ -203,7 +213,66 @@ class TestIntegrate:
                 lag_grid(lag, step, horizon)
 
 
+def _eval_one(traj, t):
+    """Dense output for one time, as a per-query loop: clip to [0, front],
+    return the node at a node time, else the Hermite cubic of the segment."""
+    t = min(max(float(t), 0.0), traj.horizon)
+    k = int(np.flatnonzero(traj.times <= t)[-1])
+    if traj.times[k] == t:
+        return traj.states[k]
+    theta, h = (t - traj.times[k]) / traj.step, traj.step
+    y0, y1 = traj.states[k], traj.states[k + 1]
+    m0, m1 = traj.derivs[k], traj.derivs[k + 1]
+    return (y0 + theta * theta * (3.0 - 2.0 * theta) * (y1 - y0)
+            + h * (theta * (theta - 1.0)) * ((theta - 1.0) * m0 + theta * m1))
+
+
+def _assert_eval_matches_the_loop(traj, rng):
+    # random, node, next-to-node, front, history, signed-zero and
+    # within-tolerance times, read as one 2-d array and one by one
+    front, lag = traj.horizon, traj.lag
+    nodes = traj.times[rng.integers(0, traj.times.size, 6)]
+    queries = np.concatenate([
+        rng.uniform(-lag, front, 24), rng.uniform(-lag, 0.0, 4), nodes,
+        np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        [front, front + 5e-10 * max(1.0, front), -0.0, 0.0, -lag,
+         -lag - 5e-10 * max(1.0, lag)]])
+    want = np.array([_eval_one(traj, t) for t in queries])
+    got = traj.eval(queries.reshape(4, -1))
+    assert got.shape == (4, queries.size // 4, traj.dimension)
+    for out, expected in ((got.reshape(want.shape), want),
+                          (np.array([traj.eval(t) for t in queries]), want)):
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
+
 class TestDenseEval:
+    @pytest.mark.parametrize("model", models.MODEL_KINDS)
+    def test_matches_a_per_query_loop_on_random_trajectories(self, model):
+        rng = np.random.default_rng(16)
+        for i in range(24):
+            lam, mu = rng.uniform(0.5, 60.0), rng.uniform(0.2, 5.0)
+            delta = 0.0 if model == models.CONSTANT and i % 4 == 0 else rng.uniform(0.05, 4.0)
+            q = lam / mu
+            traj = models.simulate(model, models.ModelParams(lam, mu, delta),
+                                   rng.uniform(0.05, 10.0), step=rng.uniform(0.01, 0.4),
+                                   phi1=rng.uniform(0.0, q), phi2=rng.uniform(0.0, q))
+            if i % 8 == 1:  # node 0 alone: every time reads the history
+                traj = Trajectory(step=traj.step, states=traj.states[:1],
+                                  derivs=traj.derivs[:1], lag=traj.lag)
+            _assert_eval_matches_the_loop(traj, rng)
+
+    def test_node_reads_return_the_node_where_the_cubic_would_not(self):
+        # the cubic at theta = 0 turns a -0.0 node into +0.0, and overflows
+        # (a warning, an error here) where y1 - y0 does; the node is kept
+        states = np.array([[-0.0, 1.0], [2.0, -0.0], [-0.0, 3.0], [1.0, -0.0]])
+        traj = Trajectory(step=0.5, states=states, derivs=np.ones_like(states), lag=1.0)
+        _assert_eval_matches_the_loop(traj, np.random.default_rng(3))
+        assert np.signbit(traj.eval(traj.times)).tolist() == np.signbit(states).tolist()
+        wide = Trajectory(step=1.0, states=[[1e308], [-1e308]], derivs=np.zeros((2, 1)),
+                          lag=0.0)
+        np.testing.assert_array_equal(wide.eval([-0.0, 1.0]), wide.states)
+
     def test_node_times_return_stored_states(self):
         traj = _integrate(0.01, 5.0)
         for k in (0, 1, 77, 250, 500):

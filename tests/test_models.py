@@ -411,18 +411,16 @@ class TestSimulateDifference:
         # mu h = 50 is far outside the RK4 stability region; at delta = 0 a
         # stage overflows before a node does.  The default history starts
         # on s = lam/mu, so only u blows up; from phi = (6, 3) s blows up
-        # too, and the full state fails a step before u alone does.
+        # too, and u'/2 already overflows at node 57.
         for model, delta in ((CONSTANT, 2.0), (MOVING_AVERAGE, 2.0), (CONSTANT, 0.0)):
             p = ModelParams(10.0, 50.0, delta)
-            for phi, t_full in (((None, None), 58.0), ((6.0, 3.0), 57.0)):
+            for phi, t_fail in (((None, None), 58.0), ((6.0, 3.0), 57.0)):
                 failures = []
                 for run in (simulate_reference, simulate, simulate_difference):
                     with pytest.raises(NumericalFailureError) as info:
                         run(model, p, 1000.0, step=1.0, phi1=phi[0], phi2=phi[1])
                     failures.append(info.value.time)
-                reference, full, kernel = failures
-                assert reference == full == t_full
-                assert kernel == 58.0
+                assert failures == [t_fail] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
     def test_reference_reports_a_lagged_stage_overflow(self):
@@ -436,13 +434,13 @@ class TestSimulateDifference:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
     @pytest.mark.parametrize("model,times", [
-        (CONSTANT, (160.0, 160.0, 161.0)),
-        (MOVING_AVERAGE, (161.0, 160.0, 161.0)),
+        (CONSTANT, (160.0, 160.0, 160.0)),
+        (MOVING_AVERAGE, (161.0, 161.0, 161.0)),
     ])
     def test_blow_up_fails_within_one_step_of_the_reference(self, model, times):
-        # mu h = 7.5: the reference overflows in a stage or a node, simulate
-        # where a derivative of the assembled state overflows, and the
-        # kernel where u (or v / 2) itself does
+        # mu h = 7.5: the reference fails where a stage, a node or a node
+        # derivative overflows, the kernels where u, u'/2 (or v / 2) do.  At
+        # node 160 u is finite; u'/2 overflows in the constant model only
         p = ModelParams(65.0, 7.5, 2.0)
         failures = []
         for run in (simulate_reference, simulate, simulate_difference):
@@ -450,7 +448,6 @@ class TestSimulateDifference:
                 run(model, p, 200.0, step=1.0)
             failures.append(info.value.time)
         assert tuple(failures) == times
-        assert all(abs(t - failures[0]) <= 1.0 for t in failures)
 
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)
