@@ -132,12 +132,10 @@ def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float, bool]
         limit = 2.0 * math.sqrt(-rate / ell)
     else:
         limit = math.inf
-    # a saturated cycle barely moves its envelope and a modulated one
-    # wanders instead of shrinking: the fitted limit says nothing of either
+    # a saturated cycle barely moves its envelope: the fitted limit says
+    # nothing of it
     change = float((rate + ell * a2) @ dt)
-    trusted = abs(change) >= _MIN_ENVELOPE_CHANGE and \
-        (change > 0.0 or bool(np.all(np.diff(swing) < 0.0)))
-    return rate, limit, trusted
+    return rate, limit, abs(change) >= _MIN_ENVELOPE_CHANGE
 
 
 def _classify_amplitude(amplitude: float, eps_sync: float, eps_osc: float) -> str:
@@ -174,14 +172,12 @@ def classify_difference(times: np.ndarray, diff: np.ndarray,
     * the tail holds fewer than 6 extrema, or its amplitude is already
       below ``eps_sync``;
     * the fitted log-envelope changes by less than 5% over the tail (a
-      saturated cycle, whose fit carries no information about a limit);
-    * the fit predicts decay but the half-swings do not decrease
-      monotonically (a modulated cycle, not a decaying transient).
+      saturated cycle, whose fit carries no information about a limit).
 
-    In those two last cases ``rate`` and ``limit_amplitude`` are still
-    reported where the limit classifies as the raw amplitude does, and are
-    nan where it does not: an untrusted fit that would call an oscillatory
-    tail a decay to 0 is no evidence for the verdict.
+    In that last case ``rate`` and ``limit_amplitude`` are still reported
+    where the limit classifies as the raw amplitude does, and are nan where
+    it does not: an untrusted fit that would call an oscillatory tail a
+    decay to 0 is no evidence for the verdict.
 
     The horizon should still cover several oscillation periods after the
     burn-in.
@@ -280,8 +276,8 @@ def sweep(model: str, mu: float, lambdas, deltas,
     rows: list[SweepRow] = []
     deltas = [float(delta) for delta in deltas]
     # crossings above the largest delay cannot change a prediction; a NaN
-    # delay fails its own row
-    reach = max((delta for delta in deltas if not math.isnan(delta)), default=0.0)
+    # or infinite delay fails its own row
+    reach = max((delta for delta in deltas if math.isfinite(delta)), default=0.0)
     for lam in lambdas:
         lam = float(lam)
         crossings = [(p.delta_cr, _crossing_direction(model, p))

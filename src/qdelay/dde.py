@@ -3,20 +3,21 @@
 The integrator advances a d-dimensional system x'(t) = f(x(t), x(t - lag))
 from a constant history, x(t) = x0 for t <= 0, with the classical
 fourth-order Runge-Kutta scheme on a uniform grid.  The history is node 0
-itself: every lagged read before the grid returns ``states[0]``.  The
-step is shrunk so that the lag is an exact integer multiple of it: lagged
-values needed at node times are then themselves nodes, and lagged
-values at half-step stage times fall at midpoints of segments that are
-already complete, where cubic Hermite interpolation keeps the overall scheme
-fourth order.  The lagged point is therefore never ahead of the computed
-front.
+itself: every lagged read before the grid returns ``states[0]``, by the
+one rule of ``lagged_nodes``.  The step is shrunk so that the lag is an
+exact integer multiple of it: lagged values needed at node times are then
+themselves nodes, and lagged values at half-step stage times fall at
+midpoints of segments that are already complete, where cubic Hermite
+interpolation keeps the overall scheme fourth order.  The lagged point is
+therefore never ahead of the computed front.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "lag_grid",
+    "lagged_nodes",
 ]
 
 DdeRhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -85,6 +87,17 @@ def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
     return m, h, int(steps)
 
 
+def lagged_nodes(values, slopes, m: int) -> Iterator[tuple]:
+    """The ``(value, slope)`` pairs that steps 0, 1, ... read at a lag of
+    m >= 1 steps: step k reads node k + 1 - m, or node 0, the history,
+    before the grid.  That is m - 1 copies of node 0, then the nodes, each
+    read when its step comes, so the sequences may grow meanwhile.  The
+    Hermite midpoint of two history pairs is node 0 exactly."""
+    if m < 1:
+        raise ValueError("the lag must be at least one step")
+    return chain(repeat((values[0], slopes[0]), m - 1), zip(values, slopes))
+
+
 def _hermite(theta, h, y0, y1, m0, m1):
     # y0-anchored cubic Hermite: exact on constant segments.  At theta = 0 it
     # may overflow unwarned, as eval returns the node there
@@ -129,6 +142,12 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
+    def bounds(self) -> tuple[float, float]:
+        """[-lag, horizon], the times ``eval`` accepts, each end widened by
+        1e-9 times max(1, its size) to forgive rounding."""
+        return (-self.lag - 1e-9 * max(1.0, self.lag),
+                self.horizon + 1e-9 * max(1.0, self.horizon))
+
     def eval(self, t):
         """Dense evaluation at scalar or array times in [-lag, horizon].
 
@@ -142,9 +161,10 @@ class Trajectory:
             raise ValueError("dense evaluation at a NaN time")
         times = self.times
         front = times[-1]
-        if np.any(t > front + 1e-9 * max(1.0, front)):
+        first, last = self.bounds()
+        if np.any(t > last):
             raise ValueError(f"dense evaluation beyond the computed front t = {front:g}")
-        if np.any(t < -self.lag - 1e-9 * max(1.0, self.lag)):
+        if np.any(t < first):
             raise ValueError(f"dense evaluation before the history start t = {-self.lag:g}")
         t = np.clip(t, 0.0, front)
         k = np.searchsorted(times, t, "right") - 1
@@ -177,6 +197,10 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
         Requested step and horizon.  For a positive lag the effective step
         h' <= step is chosen so lag / h' is an exact integer (``lag_grid``).
 
+    Step k reads node k + 1 - m from ``lagged_nodes`` at its end stage, and
+    the Hermite midpoint of the segment ending there at its middle stages;
+    before the grid both are ``x0``.  At lag 0 a stage reads its own state.
+
     Returns
     -------
     Trajectory
@@ -198,21 +222,10 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     derivs = np.empty((n + 1, x0.size))
     states[0] = x0
     x0 = states[0]
-
-    def node_lag(j):
-        # lagged state at node time j*h - lag: a node itself, or the history
-        return states[max(j - m, 0)]
-
-    def mid_lag(k):
-        # lagged state at (k + 1/2)*h - lag: midpoint of a completed segment
-        i = k - m
-        if i >= 0:
-            y0 = states[i]
-            y1 = states[i + 1]
-            return y0 + 0.5 * (y1 - y0) + 0.125 * h * (derivs[i] - derivs[i + 1])
-        return x0
-
     derivs[0] = rhs(x0, x0)
+    if not ode:
+        lagged = lagged_nodes(states, derivs, m)
+        y0, d0 = x0, derivs[0]
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -223,24 +236,18 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
             for k in range(n):
                 x = states[k]
                 k1 = derivs[k]
-                if ode:
-                    s = x + half * k1
-                    k2 = rhs(s, s)
-                    s = x + half * k2
-                    k3 = rhs(s, s)
-                    s = x + h * k3
-                    k4 = rhs(s, s)
-                else:
-                    xm = mid_lag(k)
-                    xe = node_lag(k + 1)
-                    s = x + half * k1
-                    k2 = rhs(s, xm)
-                    s = x + half * k2
-                    k3 = rhs(s, xm)
-                    s = x + h * k3
-                    k4 = rhs(s, xe)
+                if not ode:
+                    ye, d1 = next(lagged)
+                    xm = y0 + 0.5 * (ye - y0) + 0.125 * h * (d0 - d1)
+                    y0, d0 = ye, d1
+                s = x + half * k1
+                k2 = rhs(s, s if ode else xm)
+                s = x + half * k2
+                k3 = rhs(s, s if ode else xm)
+                s = x + h * k3
+                k4 = rhs(s, s if ode else ye)
                 xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                dn = rhs(xn, xn if ode else xe) if np.isfinite(xn).all() else xn
+                dn = rhs(xn, xn if ode else ye) if np.isfinite(xn).all() else xn
                 if not np.isfinite(dn).all():
                     raise NumericalFailureError("integration produced a non-finite state",
                                                 (k + 1) * h)

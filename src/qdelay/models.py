@@ -33,11 +33,11 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
-from .dde import NumericalFailureError, Trajectory, integrate, lag_grid
+from .dde import NumericalFailureError, Trajectory, integrate, lag_grid, lagged_nodes
 
 __all__ = [
     "CONSTANT",
@@ -250,8 +250,7 @@ def simulate(model: str, params: ModelParams, horizon: float,
     lam, mu = params.lam, params.mu
     s0, s_inf = p1 + p2, lam / mu
     c = s0 - s_inf
-    z = -mu * h
-    r = _growth(z)
+    z, r = _rk4_weights(params, h)[:2]
     dim = 2 if model == CONSTANT else 4
     states = np.empty((size, dim))
     derivs = np.empty((size, dim))
@@ -344,29 +343,27 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 # those lists.  u'/2 is the difference half of the full-state derivatives,
 # q1', q2' = s'/2 +- u'/2, so it overflows where they do (u' can do so a
 # step earlier); halving is exact above the subnormals, so no state changes.
-# Step k reads the lagged node k + 1 - m and, for its middle stages, the
-# cubic Hermite midpoint y0 + (y1 - y0) / 2 + (h / 4) (d0 - d1) of the
-# segment [k - m, k + 1 - m], d the halves; for k < m, the history phase,
-# the lag reads the constant history (at k = m - 1 the lagged node is node
-# 0, which holds the history value).
+# Step k reads node k + 1 - m from ``dde.lagged_nodes``, as ``integrate``
+# does, and for its middle stages the cubic Hermite midpoint
+# y0 + (y1 - y0) / 2 + (h / 4) (d0 - d1) of the segment ending there, d the
+# halves; before the grid the stream repeats node 0, its own midpoint.
 #
 # Once a step's stage tanh values T_i are known, RK4 on u' = g - mu u with
 # g = -lam T is affine in u: one step is the increment
 #
 #     u + (r u + sum_i c_i T_i),   r = r(z), z = -mu h,
 #
-# with r RK4's growth polynomial (``_growth``) and c_i = -(lam h / 6) times a
-# polynomial in z, both computed once per run.  The constant model has three
-# T_i: lagged node, midpoint and lagged end, which is the next step's lagged
-# node, so a step takes two tanh; its history phase is a loop of its own, in
-# which all three are the history's.  The moving-average model has four, of
-# the window-difference stages of w = v / 2 (halving is exact); its stage
-# states s_2..s_4 are u plus 1/2, 1/2 and 1 times the affine pieces
-# z s_i - lam h T_i, and w steps by h / (12 delta) times the weighted stage
-# differences s_i minus the lagged reads.  Its history is a constant lagged
-# stream, whose Hermite midpoint is the history value itself.  The increment
-# is added to u, never folded into a rounded R = 1 + r, whose rounding would
-# bias every step the same way.
+# with r RK4's growth polynomial and c_i = -(lam h / 6) times a polynomial
+# in z, all computed once per run by ``_rk4_weights``.  The
+# constant model has three T_i: lagged node, midpoint (weight c_2 + c_3, as
+# both middle stages read it) and lagged end, which is the next step's
+# lagged node, so a step takes two tanh, on the history too.  The
+# moving-average model has four, of the window-difference stages of
+# w = v / 2 (halving is exact); its stage states s_2..s_4 are u plus 1/2,
+# 1/2 and 1 times the affine pieces z s_i - lam h T_i, and w steps by
+# h / (12 delta) times the weighted stage differences s_i minus the lagged
+# reads.  The increment is added to u, never folded into a rounded
+# R = 1 + r, whose rounding would bias every step the same way.
 #
 # A non-finite u (or w) never becomes finite again in these steps, so the
 # kernels test u once per lag block of m steps, whose lagged reads all
@@ -381,17 +378,22 @@ def _failure(node: int, h: float) -> NumericalFailureError:
     return NumericalFailureError("integration produced a non-finite state", node * h)
 
 
-def _growth(z: float) -> float:
-    # RK4's amplification factor on y' = -mu y, less one: R(z) = 1 + r(z)
-    return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+def _rk4_weights(params: ModelParams, h: float) -> tuple[float, ...]:
+    # z = -mu h, r = R(z) - 1 for RK4's amplification factor R on y' = -mu y,
+    # and c1..c4 of the affine step u + (r u + sum_i c_i T_i)
+    z = -params.mu * h
+    c4 = -params.lam * h / 6.0
+    return (z, z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))),
+            c4 * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z))),
+            c4 * (2.0 + z * (1.0 + 0.5 * z)), c4 * (2.0 + z), c4)
 
 
-def _finite_prefix(series: list[list[float]], checked: list[list[float]]) -> list[list[float]]:
-    # a node is bad once a checked list holds a non-finite value there, and
-    # every node after it is bad too, so the first one is found by bisection
+def _finite_prefix(series: list[list[float]]) -> list[list[float]]:
+    # a node is bad once a list holds a non-finite value there, and every
+    # node after it is bad too, so the first one is found by bisection
     isfinite = math.isfinite
     first = bisect.bisect_left(range(len(series[0])), True,
-                               key=lambda k: not all(isfinite(c[k]) for c in checked))
+                               key=lambda k: not all(isfinite(c[k]) for c in series))
     for values in series:
         del values[first:]
     return series
@@ -399,27 +401,17 @@ def _finite_prefix(series: list[list[float]], checked: list[list[float]]) -> lis
 
 def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
                          n: int) -> list[list[float]]:
-    lam, mu = params.lam, params.mu
     tanh, isfinite = math.tanh, math.isfinite
-    z = -mu * h
-    r, c_end = _growth(z), -lam * h / 6.0
-    c_lag = c_end * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
-    c_mid = c_end * (4.0 + z * (2.0 + 0.5 * z))
-    quarter, neg_half_lam, half_mu = 0.25 * h, -0.5 * lam, 0.5 * mu
-    t_lag = tanh(0.5 * u0)
-    g0 = neg_half_lam * t_lag
+    _, r, c_lag, c2, c3, c_end = _rk4_weights(params, h)
+    c_mid = c2 + c3
+    quarter, neg_half_lam, half_mu = 0.25 * h, -0.5 * params.lam, 0.5 * params.mu
     x = u0
-    u, du = [x], [g0 - half_mu * x]
+    t_lag = tanh(0.5 * x)
+    u, du = [x], [neg_half_lam * t_lag - half_mu * x]
     u_append, du_append = u.append, du.append
-    # the history phase: every stage reads the history value u0
-    c_hist = (c_lag + c_mid + c_end) * t_lag
-    for _ in range(min(m, n)):
-        x = x + (r * x + c_hist)
-        u_append(x)
-        du_append(g0 - half_mu * x)
-    lagged = zip(u, du)
-    y0, d0 = next(lagged)
-    for start in range(m, n, m):
+    lagged = lagged_nodes(u, du, m)
+    y0, d0 = x, du[0]
+    for start in range(0, n, m):
         if not isfinite(x):
             break
         for y1, d1 in islice(lagged, min(m, n - start)):
@@ -429,7 +421,7 @@ def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
             u_append(x)
             du_append(neg_half_lam * t_end - half_mu * x)
             y0, d0, t_lag = y1, d1, t_end
-    return _finite_prefix([u, du], [u, du])
+    return _finite_prefix([u, du])
 
 
 def _difference_ode(params: ModelParams, u0: float, h: float,
@@ -462,11 +454,7 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
                    n: int) -> list[list[float]]:
     lam, mu = params.lam, params.mu
     tanh, isfinite = math.tanh, math.isfinite
-    z = -mu * h
-    r, c4 = _growth(z), -lam * h / 6.0
-    c1 = c4 * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
-    c2 = c4 * (2.0 + z * (1.0 + 0.5 * z))
-    c3 = c4 * (2.0 + z)
+    z, r, c1, c2, c3, c4 = _rk4_weights(params, h)
     # the halved affine pieces of s_2 and s_3, and the fractions of the
     # stage differences in w's stages (h / (4 delta), twice that) and step
     z2, gh2, gh = 0.5 * z, -0.5 * lam * h, -lam * h
@@ -478,9 +466,7 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
     t1 = tanh(w)
     u, du, ws = [x], [neg_half_lam * t1 - half_mu * x], [w]
     u_append, du_append, w_append = u.append, du.append, ws.append
-    # the history reads as a constant lagged stream, whose Hermite midpoint
-    # is the history value itself
-    lagged = chain(repeat((u0, du[0]), m - 1), zip(u, du))
+    lagged = lagged_nodes(u, du, m)
     y0, d0 = u0, du[0]
     for start in range(0, n, m):
         if not (isfinite(x) and isfinite(w)):
@@ -503,17 +489,24 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
             du_append(neg_half_lam * t1 - half_mu * x)
             w_append(w)
             y0, d0 = y1, d1
-    return _finite_prefix([u, du, ws], [u, du, ws])
+    return _finite_prefix([u, du, ws])
 
 
 def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:
     """Window average (1/delta) * integral of the state over [t - delta, t].
 
     Composite trapezoid quadrature over dense evaluations at spacing
-    <= the trajectory step; returns one value per state component.
+    <= the trajectory step; returns one value per state component.  The
+    window must lie within ``traj.bounds()``, else ValueError.
     """
-    if delta <= 0.0:
-        raise ValueError("window length delta must be > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"window length delta must be finite and > 0, got {delta}")
+    if not math.isfinite(t):
+        raise ValueError(f"window end t must be finite, got {t}")
+    first, last = traj.bounds()
+    if not (first <= t - delta and t <= last):
+        raise ValueError(f"window [t - delta, t] = [{t - delta:g}, {t:g}] is not "
+                         f"within the trajectory's [{-traj.lag:g}, {traj.horizon:g}]")
     n = max(1, math.ceil(delta / traj.step - 1e-9))
     ts = np.linspace(t - delta, t, n + 1)
     samples = traj.eval(ts)

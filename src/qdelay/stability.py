@@ -318,7 +318,7 @@ def root_track(model: str, lam: float, mu: float, delta: float,
     elif not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     r = complex(seed)
-    if not (math.isfinite(r.real) and math.isfinite(r.imag)):
+    if not cmath.isfinite(r):
         raise ValueError("seed must be finite")
     # Newton inline, one loop per model: a call per iterate would cost more
     # than its arithmetic.  half_lam * decay is (0.5 * lam) * e^(-r delta)
@@ -363,9 +363,11 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     Grossman, J. Math. Anal. Appl. 86, 1982).  At a Hopf point r = i omega
     the sign of its real part is the crossing direction: positive where the
     pair enters the right half-plane as the delay grows.  R_r is the
-    derivative ``root_track`` steps with.
+    derivative ``root_track`` steps with.  A non-finite r raises ValueError.
     """
     _validate_query(model, lam, mu, delta)
+    if not cmath.isfinite(r):
+        raise ValueError("r must be finite")
     decay = cmath.exp(-r * delta)
     if model == CONSTANT:
         r_delta = -0.5 * lam * r * decay

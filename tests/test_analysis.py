@@ -104,8 +104,10 @@ class TestClassifyStability:
         assert above.classification == OSCILLATORY
 
     def test_modulated_cycle_stays_oscillatory(self):
-        # a limit cycle whose half-swings wander between 7.07 and 7.11: the
-        # envelope fit alone would call it a decay to zero
+        # a settled limit cycle whose half-swings wander between 7.1097 and
+        # 7.1169: its fitted log-envelope changes by -7.6e-6 over the tail,
+        # far below the 5% a trusted fit needs, so the raw amplitude decides,
+        # and the fit's limit 0, which contradicts it, is reported as nan
         v = _classify(MOVING_AVERAGE, 452.311, 20.7113, 0.0544787, 1.634361)
         assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
         assert v.classification == OSCILLATORY
@@ -229,6 +231,13 @@ class TestSweep:
         assert rows[1].observed == SYNCHRONIZED
         # the first threshold, 2.1448, lies above every delay of the sweep
         assert rows[1].predicted == SYNCHRONIZED
+
+    def test_infinite_delay_fails_only_its_row(self):
+        # the Hopf search reaches the largest finite delay, 1e-5, not inf
+        rows = sweep(MOVING_AVERAGE, 1.0, [1e7], [1e-5, math.inf], horizon=1e-3)
+        assert rows[0].observed != FAILED and rows[0].error is None
+        assert rows[1].observed == FAILED
+        assert rows[1].error == "delta must be finite"
 
     def test_rows_match_full_state_classification(self):
         # sweep integrates only q1 - q2; classifying the full-state run of

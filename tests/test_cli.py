@@ -222,6 +222,15 @@ class TestSweepCommand:
             "use the constant model at delta = 0",
         ]
 
+    def test_infinite_delay_fails_its_own_row(self, capsys):
+        # the Hopf search reaches the largest finite delay, not inf, where
+        # it could list 1.6 million points at lambda = 1e7
+        assert run(["sweep", "--model", "moving-average", "--mu", "1",
+                    "--lambdas", "1e7", "--deltas", "1e-5,inf"]) == 0
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("# failed at") and "delta=inf" in line]
+        assert failed == ["# failed at lambda=10000000 delta=inf: delta must be finite"]
+
 
 class TestExitCodes:
     def test_unknown_flag(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qdelay import NumericalFailureError, Trajectory, integrate, models
-from qdelay.dde import lag_grid
+from qdelay.dde import lag_grid, lagged_nodes
 
 
 def _constant_scenario(lam=10.0, mu=1.0, delta=0.4, phi=(5.5, 4.5)):
@@ -211,6 +211,107 @@ class TestIntegrate:
                 integrate(rhs, lag, x0, step, horizon)
             with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
                 lag_grid(lag, step, horizon)
+
+
+def _integrate_by_lookup(rhs, lag, x0, step, horizon):
+    """The method of steps with its lagged reads as array lookups, node
+    ``max(k + 1 - m, 0)`` and the Hermite midpoint of segment
+    ``[k - m, k + 1 - m]``, or the history ``x0`` before the grid: the
+    oracle for ``integrate``'s stream of lagged nodes."""
+    m, h, n = lag_grid(lag, step, horizon)
+    states = np.empty((n + 1, len(x0)))
+    derivs = np.empty((n + 1, len(x0)))
+    states[0] = x0
+    x0 = states[0]
+
+    def node_lag(j):
+        return states[max(j - m, 0)]
+
+    def mid_lag(k):
+        i = k - m
+        if i >= 0:
+            y0 = states[i]
+            y1 = states[i + 1]
+            return y0 + 0.5 * (y1 - y0) + 0.125 * h * (derivs[i] - derivs[i + 1])
+        return x0
+
+    derivs[0] = rhs(x0, x0)
+    half, sixth = 0.5 * h, h / 6.0
+    for k in range(n):
+        x, k1 = states[k], derivs[k]
+        if m == 0:
+            s = x + half * k1
+            k2 = rhs(s, s)
+            s = x + half * k2
+            k3 = rhs(s, s)
+            s = x + h * k3
+            k4 = rhs(s, s)
+            xe = None
+        else:
+            xm, xe = mid_lag(k), node_lag(k + 1)
+            s = x + half * k1
+            k2 = rhs(s, xm)
+            s = x + half * k2
+            k3 = rhs(s, xm)
+            s = x + h * k3
+            k4 = rhs(s, xe)
+        xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        states[k + 1] = xn
+        derivs[k + 1] = rhs(xn, xn if m == 0 else xe)
+    return states, derivs
+
+
+class TestLaggedNodes:
+    def test_history_copies_then_the_nodes_as_they_grow(self):
+        values, slopes = [1.5], [-0.25]
+        stream = lagged_nodes(values, slopes, 3)
+        # m - 1 = 2 copies of node 0, then node 0 itself
+        assert [next(stream) for _ in range(3)] == [(1.5, -0.25)] * 3
+        values += [2.5, 3.5]
+        slopes += [0.5, 0.75]
+        assert list(stream) == [(2.5, 0.5), (3.5, 0.75)]
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_a_lag_below_one_step(self, m):
+        with pytest.raises(ValueError, match="at least one step"):
+            lagged_nodes([1.0], [0.0], m)
+
+    @pytest.mark.parametrize("model", models.MODEL_KINDS)
+    def test_integrate_matches_the_lookup_loop_bit_for_bit(self, model):
+        rng = np.random.default_rng(18 if model == models.CONSTANT else 19)
+        seen = set()
+        for i in range(60):
+            lam, mu = rng.uniform(0.5, 60.0), rng.uniform(0.2, 5.0)
+            q = lam / mu
+            kind = i % 5
+            delta = rng.uniform(0.05, 4.0)
+            step = rng.uniform(0.01, 0.4) / max(1.0, mu)
+            horizon = rng.uniform(1.0, 10.0)
+            if kind == 0 and model == models.CONSTANT:  # an ODE
+                delta = 0.0
+            elif kind == 1:  # a lag of one step
+                delta = rng.uniform(0.02, 0.3) / mu
+                step = delta * rng.uniform(1.0, 2.0)
+            elif kind == 2:  # the whole run reads the history
+                horizon = delta * rng.uniform(0.1, 1.0)
+            params = models.ModelParams(lam, mu, delta)
+            dim = 2 if model == models.CONSTANT else 4
+            phi = rng.uniform(0.0, q, 2)
+            x0 = np.concatenate([phi, phi])[:dim]
+
+            def rhs(x, xl):
+                if model == models.CONSTANT:
+                    return models.constant_delay_rhs(x, xl, params)
+                return models.ma_rhs(x, xl, params)
+
+            m, _, n = lag_grid(delta, step, horizon)
+            seen.add("ode" if m == 0 else "m=1" if m == 1 else "m>=n" if m >= n else "m<n")
+            traj = integrate(rhs, delta, x0, step, horizon)
+            states, derivs = _integrate_by_lookup(rhs, delta, x0, step, horizon)
+            np.testing.assert_array_equal(traj.states, states)
+            np.testing.assert_array_equal(traj.derivs, derivs)
+        expected = {"m=1", "m>=n", "m<n"} | ({"ode"} if model == models.CONSTANT else set())
+        assert seen == expected
 
 
 def _eval_one(traj, t):

@@ -237,6 +237,30 @@ class TestMaFromTrajectory:
         with pytest.raises(ValueError):
             ma_from_trajectory(traj, 6.0, 0.4)  # window reaches past the front
 
+    @pytest.mark.parametrize("t,delta,message", [
+        (1.0, math.nan, "delta must be finite and > 0"),
+        (1.0, math.inf, "delta must be finite and > 0"),
+        (1.0, 0.0, "delta must be finite and > 0"),
+        (1.0, -0.4, "delta must be finite and > 0"),
+        (math.nan, 0.4, "t must be finite"),
+        (math.inf, 0.4, "t must be finite"),
+        (-math.inf, 0.4, "t must be finite"),
+        (5.0 + 1e-6, 0.4, "[t - delta, t] = [4.6, 5] is not within the trajectory's [-0.4, 5]"),
+        (1e300, 0.4, "[t - delta, t] = [1e+300, 1e+300] is not within"),
+        (0.3, 0.7 + 1e-6, "[t - delta, t] = [-0.400001, 0.3] is not within"),
+        (1.0, 1e300, "[t - delta, t] = [-1e+300, 1] is not within"),
+    ])
+    def test_rejects_bad_windows_before_sampling(self, t, delta, message):
+        traj = simulate(CONSTANT, ModelParams(10.0, 1.0, 0.4), horizon=5.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ma_from_trajectory(traj, t, delta)
+
+    def test_window_ends_forgive_rounding_as_eval_does(self):
+        traj = simulate(CONSTANT, ModelParams(10.0, 1.0, 0.4), horizon=5.0)
+        for t, delta in ((5.0 + 2.5e-9, 0.4), (0.0, 0.4 + 5e-10)):
+            traj.eval([t - delta, t])
+            assert np.all(np.isfinite(ma_from_trajectory(traj, t, delta)))
+
 
 class TestDefaultStep:
     def test_resolves_lag_and_relaxation(self):

@@ -473,6 +473,10 @@ class TestCrossingRate:
                 crossing_rate(CONSTANT, 10.0, 1.0, delta, 1j)
             with pytest.raises(ValueError, match="^delta must be finite and > 0"):
                 crossing_rate(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
+        for model in (CONSTANT, MOVING_AVERAGE):
+            for r in (complex(math.nan, 1.0), complex(0.0, math.inf), math.nan):
+                with pytest.raises(ValueError, match="^r must be finite"):
+                    crossing_rate(model, 10.0, 1.0, 0.3, r)
 
 
 def _default_tol(model, lam, mu, delta):
