@@ -266,7 +266,8 @@ def sweep(model: str, mu: float, lambdas, deltas,
     A cell is predicted oscillatory when more destabilising than
     restabilising crossings lie at or below its delay (the moving-average
     model restabilises at its second root), synchronized otherwise; the
-    sign of ``crossing_rate`` at each crossing gives its direction.
+    sign of ``crossing_rate`` at each crossing gives its direction.  A NaN
+    or infinite delay, whose row fails, is predicted not-applicable.
     Rows are produced in grid order (lambdas outer, deltas inner) and are
     independent of each other; integration failures are recorded per row
     rather than aborting the sweep.  ``agree`` is True when the observed
@@ -275,15 +276,14 @@ def sweep(model: str, mu: float, lambdas, deltas,
     """
     rows: list[SweepRow] = []
     deltas = [float(delta) for delta in deltas]
-    # crossings above the largest delay cannot change a prediction; a NaN
-    # or infinite delay fails its own row
+    # crossings above the largest delay cannot change a prediction
     reach = max((delta for delta in deltas if math.isfinite(delta)), default=0.0)
     for lam in lambdas:
         lam = float(lam)
         crossings = [(p.delta_cr, _crossing_direction(model, p))
                      for p in stability.hopf_points(model, lam, mu, reach)]
         for delta in deltas:
-            if not crossings:
+            if not crossings or not math.isfinite(delta):
                 predicted = NOT_APPLICABLE
             elif sum(sign for delta_cr, sign in crossings if delta_cr <= delta) > 0:
                 predicted = OSCILLATORY

@@ -1,14 +1,15 @@
 """Hopf-bifurcation machinery for both queue models.
 
 Linearising either model about the symmetric equilibrium and uncoupling the
-sum and difference of the perturbations leaves a scalar transcendental
-characteristic equation R(r, delta) = 0 for the difference mode.  Everything
-here follows from its residual: the critical delays, where a root pair sits
-at r = i omega (in closed form for the constant-delay model, from the phase
-equation of the residual at i omega for the moving-average model); Newton
-tracking of a root as the delay moves; the implicit-function crossing rate
-dr/ddelta = -R_delta / R_r; and the Hopf points of each model in increasing
-delay (``hopf_points``), from which Hopf curves over the arrival rate follow.
+sum and difference of the perturbations leaves a scalar characteristic
+equation for the difference mode, R(r) = (p2 r + p1) r + p0 + q e^(-r delta)
+in both models, with each model's coefficients held once in
+``_coefficients``.  Everything here follows from them: the residuals; the
+critical delays, where a root pair sits at r = i omega (in closed form for
+the constant-delay model, from the phase equation Im R(i omega) = 0 for the
+moving-average model); Newton tracking of a root as the delay moves; the
+implicit-function crossing rate dr/ddelta = -R_delta / R_r; and the Hopf
+points of each model in increasing delay (``hopf_points``).
 """
 
 from __future__ import annotations
@@ -67,29 +68,51 @@ def _validate_rates(lam: float, mu: float) -> None:
         raise ValueError("mu must be finite and > 0")
 
 
+def _coefficients(model: str, lam: float, mu: float,
+                  delta: float) -> tuple[float, float, float, float, float, float]:
+    # (p2, p1, p0, q, dp0/ddelta, dq/ddelta) of R(r), after validating the
+    # query: r + mu + (lam / 2) e^(-r delta), and the moving average cleared
+    # of its 1/r pole, r^2 + mu r + g - g e^(-r delta) with g = lam / 2 delta
+    _validate_rates(lam, mu)
+    if model == CONSTANT:
+        if not 0.0 <= delta < math.inf:
+            raise ValueError("delta must be finite and >= 0 for the constant-delay model")
+        return 0.0, 1.0, mu, 0.5 * lam, 0.0, 0.0
+    if model == MOVING_AVERAGE:
+        if not 0.0 < delta < math.inf:
+            raise ValueError("delta must be finite and > 0 for the moving-average model")
+        gain = 0.5 * lam / delta
+        rate = gain / delta
+        return 1.0, mu, gain, -gain, -rate, rate
+    raise ValueError(f"unknown model kind: {model!r}")
+
+
+def _residual(r: complex, delta: float, p2: float, p1: float, p0: float,
+              q: float, *_) -> complex:
+    return (p2 * r + p1) * r + p0 + q * cmath.exp(-r * delta)
+
+
 def critical_delay_constant(lam: float, mu: float) -> HopfPoint | None:
     """Closed-form critical delay of the constant-delay model.
 
-    For lam > 2 mu the difference mode loses stability at
-    ``delta_cr = arccos(-2 mu / lam) / omega`` with
-    ``omega = sqrt(lam^2 - 4 mu^2) / 2``, taken as
-    ``sqrt(lam / 2 - mu) sqrt(lam / 2 + mu)``, in which neither a square
-    nor ``lam + 2 mu`` can overflow; for lam <= 2 mu there is no
-    pure-imaginary crossing and the equilibrium is stable for every delay,
-    so None is returned.
+    R(i omega) = 0, with p0 = mu and q = lam / 2, where
+    omega = sqrt(q - p0) sqrt(q + p0), in which no square can overflow, and
+    delta_cr = arccos(-p0 / q) / omega: for lam > 2 mu the difference mode
+    loses stability there; for lam <= 2 mu there is no pure-imaginary
+    crossing and the equilibrium is stable for every delay (None).
     """
-    _validate_rates(lam, mu)
-    if lam <= 2.0 * mu:
+    _, _, p0, q, _, _ = _coefficients(CONSTANT, lam, mu, 0.0)
+    if q <= p0:
         return None
-    omega = math.sqrt(0.5 * lam - mu) * math.sqrt(0.5 * lam + mu)
-    delta_cr = math.acos(-2.0 * mu / lam) / omega
+    omega = math.sqrt(q - p0) * math.sqrt(q + p0)
+    delta_cr = math.acos(-p0 / q) / omega
     return HopfPoint(lam=lam, mu=mu, delta_cr=delta_cr, omega=omega)
 
 
 def characteristic_residual_constant(r: complex, lam: float, mu: float,
                                      delta: float) -> complex:
-    """Residual r + (lam/2) e^(-r delta) + mu of the difference mode."""
-    return r + 0.5 * lam * cmath.exp(-r * delta) + mu
+    """Residual r + mu + (lam/2) e^(-r delta) of the difference mode."""
+    return _residual(r, delta, *_coefficients(CONSTANT, lam, mu, delta))
 
 
 def characteristic_residual_ma(r: complex, lam: float, mu: float,
@@ -100,17 +123,17 @@ def characteristic_residual_ma(r: complex, lam: float, mu: float,
     not a root of the underlying characteristic equation and is excluded
     from Hopf candidates.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    return r * r + mu * r - (0.5 * lam / delta) * (cmath.exp(-r * delta) - 1.0)
+    return _residual(r, delta, *_coefficients(MOVING_AVERAGE, lam, mu, delta))
 
 
 def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
     """Phase function lam sin(theta) + 2 mu theta of the moving-average model.
 
-    At r = i omega with the phase theta = omega delta, the imaginary part of
-    the cleared residual is this function divided by 2 delta, and the real
-    part vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
+    At r = i omega with the phase theta = omega delta, the moving-average
+    coefficients (1, mu, g, -g), g = lam / (2 delta), give
+    Im R(i omega) = mu omega + g sin(theta), this function divided by
+    2 delta, and Re R(i omega) = -omega^2 + g (1 - cos theta), which
+    vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
     Every zero theta > 0 is therefore a Hopf point at that delta.
     """
     # _ma_roots calls this at the ends of every odd interval (its Newton
@@ -271,30 +294,16 @@ def hopf_points(model: str, lam: float, mu: float,
     raise ValueError(f"unknown model kind: {model!r}")
 
 
-def _validate_query(model: str, lam: float, mu: float, delta: float) -> None:
-    _validate_rates(lam, mu)
-    if model == CONSTANT:
-        if not 0.0 <= delta < math.inf:
-            raise ValueError("delta must be finite and >= 0 for the constant-delay model")
-    elif model == MOVING_AVERAGE:
-        if not 0.0 < delta < math.inf:
-            raise ValueError("delta must be finite and > 0 for the moving-average model")
-    else:
-        raise ValueError(f"unknown model kind: {model!r}")
-
-
 def root_track(model: str, lam: float, mu: float, delta: float,
                seed: complex, tol: float | None = None, max_iter: int = 100) -> complex:
     """Newton iteration on the characteristic residual from a seed root.
 
     Seeding with i*omega of a nearby Hopf point tracks the critical pair as
     the delay moves off the threshold, giving a numerical oracle for the
-    crossing direction.  The arguments are validated once per call.  Each
-    iterate evaluates e^(-r delta) once and takes from it both the residual
-    of ``characteristic_residual_*`` and its analytic derivative R_r, as
-    ``crossing_rate`` does, with every product and sum associated as in
-    those functions, so the roots are the ones Newton on the public
-    residuals finds, to the last bit.
+    crossing direction.  The arguments are validated once, as the
+    coefficients are read.  Each iterate takes from one e = e^(-r delta) the
+    residual, as ``characteristic_residual_*`` evaluate it (so the roots are
+    Newton's on them to the last bit), and R_r = 2 p2 r + p1 - delta q e.
 
     ``tol`` bounds |residual| absolutely.  By default it is
     ``max(1e-12, 1e-13 * scale)`` with ``scale`` the size of the residual's
@@ -308,10 +317,11 @@ def root_track(model: str, lam: float, mu: float, delta: float,
         Invalid rates, delay, model or seed, or a ``tol`` that is NaN or
         <= 0, which no residual could meet.
     ConvergenceError
-        No root with |residual| < tol within ``max_iter`` iterations, or a
-        singular derivative at an iterate.
+        No root with |residual| < tol within ``max_iter`` iterations, a
+        singular derivative at an iterate, or an iterate at which
+        e^(-r delta) or the residual overflows.
     """
-    _validate_query(model, lam, mu, delta)
+    p2, p1, p0, q, _, _ = _coefficients(model, lam, mu, delta)
     if tol is None:
         scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
         tol = max(1e-12, 1e-13 * scale)
@@ -320,36 +330,23 @@ def root_track(model: str, lam: float, mu: float, delta: float,
     r = complex(seed)
     if not cmath.isfinite(r):
         raise ValueError("seed must be finite")
-    # Newton inline, one loop per model: a call per iterate would cost more
-    # than its arithmetic.  half_lam * decay is (0.5 * lam) * e^(-r delta)
-    # as the residuals group it, and so on for every hoisted factor
-    half_lam = 0.5 * lam
-    if model == CONSTANT:
-        half_lam_delta = half_lam * delta
+    # Newton inline, as a call per iterate costs more than its arithmetic;
+    # r * p2 is p2 * r to the bit, without float's own product tried first
+    exp, two_p2, delta_q = cmath.exp, 2.0 * p2, delta * q
+    try:
         for _ in range(max_iter):
-            decay = cmath.exp(-r * delta)
-            value = r + half_lam * decay + mu
+            decay = exp(-r * delta)
+            value = (r * p2 + p1) * r + p0 + decay * q
             if abs(value) < tol:
                 return r
-            slope = 1.0 - half_lam_delta * decay
+            slope = r * two_p2 + p1 - decay * delta_q
             if slope == 0.0:
                 raise ConvergenceError(f"singular residual derivative at {r}")
             r = r - value / slope
-        residual = characteristic_residual_constant
-    else:
-        gain = half_lam / delta
-        for _ in range(max_iter):
-            decay = cmath.exp(-r * delta)
-            value = r * r + mu * r - gain * (decay - 1.0)
-            if abs(value) < tol:
-                return r
-            slope = 2.0 * r + mu + half_lam * decay
-            if slope == 0.0:
-                raise ConvergenceError(f"singular residual derivative at {r}")
-            r = r - value / slope
-        residual = characteristic_residual_ma
-    if abs(residual(r, lam, mu, delta)) < tol:
-        return r
+        if abs(_residual(r, delta, p2, p1, p0, q)) < tol:
+            return r
+    except OverflowError:
+        raise ConvergenceError(f"the residual overflows at {r}") from None
     raise ConvergenceError(
         f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations")
 
@@ -362,19 +359,21 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     This is the implicit-function theorem on R(r, delta) = 0 (Cooke &
     Grossman, J. Math. Anal. Appl. 86, 1982).  At a Hopf point r = i omega
     the sign of its real part is the crossing direction: positive where the
-    pair enters the right half-plane as the delay grows.  R_r is the
-    derivative ``root_track`` steps with.  A non-finite r raises ValueError.
+    pair enters the right half-plane as the delay grows.  Both partials
+    follow from the model's coefficients and e = e^(-r delta):
+    R_r = 2 p2 r + p1 - delta q e, the derivative ``root_track`` steps with,
+    and R_delta = dp0/ddelta + (dq/ddelta - r q) e.  A non-finite r, or one
+    at which e^(-r delta) overflows, raises ValueError.
     """
-    _validate_query(model, lam, mu, delta)
+    p2, p1, _, q, p0_delta, q_delta = _coefficients(model, lam, mu, delta)
     if not cmath.isfinite(r):
         raise ValueError("r must be finite")
-    decay = cmath.exp(-r * delta)
-    if model == CONSTANT:
-        r_delta = -0.5 * lam * r * decay
-        r_r = 1.0 - 0.5 * lam * delta * decay
-    else:
-        r_delta = 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
-        r_r = 2.0 * r + mu + 0.5 * lam * decay
+    try:
+        decay = cmath.exp(-r * delta)
+    except OverflowError:
+        raise ValueError(f"e^(-r delta) overflows at r = {r}") from None
+    r_delta = p0_delta + (q_delta - r * q) * decay
+    r_r = 2.0 * p2 * r + p1 - delta * q * decay
     return -r_delta / r_r
 
 

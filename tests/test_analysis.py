@@ -234,10 +234,14 @@ class TestSweep:
 
     def test_infinite_delay_fails_only_its_row(self):
         # the Hopf search reaches the largest finite delay, 1e-5, not inf
-        rows = sweep(MOVING_AVERAGE, 1.0, [1e7], [1e-5, math.inf], horizon=1e-3)
+        rows = sweep(MOVING_AVERAGE, 1.0, [1e7], [1e-5, math.inf, math.nan],
+                     horizon=1e-3)
         assert rows[0].observed != FAILED and rows[0].error is None
-        assert rows[1].observed == FAILED
-        assert rows[1].error == "delta must be finite"
+        assert rows[0].predicted == OSCILLATORY
+        # a row that cannot run gets no verdict to confront
+        for row in rows[1:]:
+            assert (row.predicted, row.observed) == (NOT_APPLICABLE, FAILED)
+            assert row.error == "delta must be finite"
 
     def test_rows_match_full_state_classification(self):
         # sweep integrates only q1 - q2; classifying the full-state run of

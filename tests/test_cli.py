@@ -227,7 +227,9 @@ class TestSweepCommand:
         # it could list 1.6 million points at lambda = 1e7
         assert run(["sweep", "--model", "moving-average", "--mu", "1",
                     "--lambdas", "1e7", "--deltas", "1e-5,inf"]) == 0
-        failed = [line for line in capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2] == "10000000,1,inf,not-applicable,failed,nan,false"
+        failed = [line for line in err.splitlines()
                   if line.startswith("# failed at") and "delta=inf" in line]
         assert failed == ["# failed at lambda=10000000 delta=inf: delta must be finite"]
 

@@ -106,6 +106,17 @@ class TestCriticalDelayConstant:
                 assert abs(math.cos(x) + 2.0 * mu / lam) < 1e-9
                 assert abs(math.sin(x) - 2.0 * point.omega / lam) < 1e-9
 
+    def test_same_bits_as_the_rate_formula(self):
+        # arccos(-p0 / q) with p0 = mu, q = lam / 2 rounds as arccos(-2 mu / lam)
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            mu = float(np.exp(rng.uniform(-5.0, 5.0)))
+            lam = mu * float(np.exp(rng.uniform(math.log(2.0), math.log(2000.0))))
+            point = critical_delay_constant(lam, mu)
+            omega = math.sqrt(0.5 * lam - mu) * math.sqrt(0.5 * lam + mu)
+            assert (point.omega, point.delta_cr) == \
+                (omega, math.acos(-2.0 * mu / lam) / omega)
+
     @pytest.mark.parametrize("lam,mu", [(1.4e154, 1.0), (1e300, 1.0), (1.7e308, 8e307)])
     def test_no_square_overflows_at_huge_rates(self, lam, mu):
         # lam^2 overflows above ~1.3e154, which once gave omega = inf and
@@ -477,6 +488,9 @@ class TestCrossingRate:
             for r in (complex(math.nan, 1.0), complex(0.0, math.inf), math.nan):
                 with pytest.raises(ValueError, match="^r must be finite"):
                     crossing_rate(model, 10.0, 1.0, 0.3, r)
+            with pytest.raises(ValueError, match=r"^e\^\(-r delta\) overflows at "
+                                                 r"r = -5000$"):
+                crossing_rate(model, 10.0, 1.0, 0.4, -5000)
 
 
 def _default_tol(model, lam, mu, delta):
@@ -484,12 +498,20 @@ def _default_tol(model, lam, mu, delta):
     return max(1e-12, 1e-13 * scale)
 
 
-def _slope(model, lam, mu, delta, r):
-    # R_r, the partial derivative of the residual in r
-    decay = cmath.exp(-r * delta)
+def _coefficients(model, lam, mu, delta):
+    # (p2, p1, p0, q, dp0/ddelta, dq/ddelta) of the residual
+    # (p2 r + p1) r + p0 + q e^(-r delta), written out here as the test's own
     if model == CONSTANT:
-        return 1.0 - 0.5 * lam * delta * decay
-    return 2.0 * r + mu + 0.5 * lam * decay
+        return 0.0, 1.0, mu, 0.5 * lam, 0.0, 0.0
+    gain = 0.5 * lam / delta
+    return 1.0, mu, gain, -gain, -gain / delta, gain / delta
+
+
+def _slope(model, lam, mu, delta, r):
+    # R_r = 2 p2 r + p1 - delta q e^(-r delta), the partial derivative of the
+    # residual in r
+    p2, p1, _, q, _, _ = _coefficients(model, lam, mu, delta)
+    return 2.0 * p2 * r + p1 - delta * q * cmath.exp(-r * delta)
 
 
 def _reference_newton(model, lam, mu, delta, seed, tol, max_iter=100):
@@ -533,6 +555,71 @@ def _near_threshold_cases():
             for point in hopf_points(model, lam, mu, delta_max=300.0 / lam)[:3]:
                 for factor in (1.0 - 1e-3, 1.0 + 1e-3):
                     yield model, lam, mu, point.delta_cr * factor, 1j * point.omega
+
+
+def _random_cases():
+    # (model, lam, mu, delta, seed, max_iter): seeds near i omega of a Hopf
+    # point at delays around it, and far seeds with few iterations, which
+    # often fail to converge or overflow e^(-r delta)
+    rng = np.random.default_rng(17)
+    cases = [(model, 10.0, 1.0, 0.4, -5000.0, 100) for model in (CONSTANT, MOVING_AVERAGE)]
+    for _ in range(1100):
+        model = (CONSTANT, MOVING_AVERAGE)[len(cases) % 2]
+        mu = float(rng.uniform(0.3, 3.0))
+        lam = mu * float(np.exp(rng.uniform(math.log(2.5), math.log(1000.0))))
+        points = hopf_points(model, lam, mu, 300.0 / lam)
+        if not points:
+            continue
+        point = points[int(rng.integers(len(points)))]
+        if len(cases) % 4 < 2:
+            delta = point.delta_cr * float(rng.uniform(0.5, 1.5))
+            seed = complex(rng.normal(0.0, 0.3 * point.omega),
+                           point.omega * float(rng.uniform(0.7, 1.3)))
+            max_iter = 100
+        else:
+            delta = point.delta_cr * float(rng.uniform(0.1, 3.0))
+            seed = complex(*rng.normal(0.0, 3.0 * point.omega, 2))
+            max_iter = int(rng.integers(2, 30))
+        cases.append((model, lam, mu, delta, seed, max_iter))
+    return cases
+
+
+def _per_model_root_track(model, lam, mu, delta, seed, max_iter):
+    """``root_track`` as it ran with one Newton loop per model, each on its
+    residual written out: the root, or the ConvergenceError text."""
+    tol = _default_tol(model, lam, mu, delta)
+    half_lam = 0.5 * lam
+    gain = half_lam / delta
+
+    def value_and_slope(r):
+        decay = cmath.exp(-r * delta)
+        if model == CONSTANT:
+            return r + half_lam * decay + mu, 1.0 - half_lam * delta * decay
+        return r * r + mu * r - gain * (decay - 1.0), 2.0 * r + mu + half_lam * decay
+
+    r = complex(seed)
+    for _ in range(max_iter):
+        value, slope = value_and_slope(r)
+        if abs(value) < tol:
+            return r
+        if slope == 0.0:
+            return f"singular residual derivative at {r}"
+        r = r - value / slope
+    if abs(value_and_slope(r)[0]) < tol:
+        return r
+    return f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations"
+
+
+def _per_model_crossing_rate(model, lam, mu, delta, r):
+    # -R_delta / R_r with both partials written out per model
+    decay = cmath.exp(-r * delta)
+    if model == CONSTANT:
+        r_delta = -0.5 * lam * r * decay
+        r_r = 1.0 - 0.5 * lam * delta * decay
+    else:
+        r_delta = 0.5 * lam / delta * (r * decay + (decay - 1.0) / delta)
+        r_r = 2.0 * r + mu + 0.5 * lam * decay
+    return -r_delta / r_r
 
 
 class TestRootTrack:
@@ -580,13 +667,48 @@ class TestRootTrack:
 
     def test_crossing_rate_is_minus_r_delta_over_r_r(self):
         for model, lam, mu, delta, seed in _near_threshold_cases():
-            decay = cmath.exp(-seed * delta)
-            if model == CONSTANT:
-                r_delta = -0.5 * lam * seed * decay
-            else:
-                r_delta = 0.5 * lam / delta * (seed * decay + (decay - 1.0) / delta)
+            _, _, _, q, p0_delta, q_delta = _coefficients(model, lam, mu, delta)
+            r_delta = p0_delta + (q_delta - seed * q) * cmath.exp(-seed * delta)
             expected = -r_delta / _slope(model, lam, mu, delta, seed)
             assert crossing_rate(model, lam, mu, delta, seed) == expected
+
+    def test_same_outcomes_as_the_per_model_loops(self):
+        # a root within 1e-14 relative, or the same error; only an overflow
+        # of e^(-r delta), an OverflowError before, is now a ConvergenceError
+        cases = [case + (100,) for case in _near_threshold_cases()]
+        cases += _random_cases()
+        assert len(cases) >= 1000
+        seen = {"root": 0, "trivial root": 0, "error": 0, "overflow": 0}
+        for model, lam, mu, delta, seed, max_iter in cases:
+            got = _tracked(model, lam, mu, delta, seed, max_iter=max_iter)
+            try:
+                expected = _per_model_root_track(model, lam, mu, delta, seed, max_iter)
+            except OverflowError:
+                assert got.startswith("the residual overflows at ")
+                seen["overflow"] += 1
+                continue
+            if isinstance(expected, str):
+                assert got == expected
+                seen["error"] += 1
+            elif model == MOVING_AVERAGE and abs(expected) < 1e-9:
+                # the cleared form's trivial root r = 0, met within tol
+                assert abs(got) < 1e-9
+                seen["trivial root"] += 1
+            else:
+                assert abs(got - expected) <= 1e-14 * abs(expected)
+                assert abs(crossing_rate(model, lam, mu, delta, got) -
+                           _per_model_crossing_rate(model, lam, mu, delta, got)) <= \
+                    1e-14 * abs(crossing_rate(model, lam, mu, delta, got))
+                seen["root"] += 1
+        assert min(seen.values()) >= 2, seen
+
+    def test_rates_at_hopf_points_match_the_per_model_formulas(self):
+        for model, lam, mu, _, seed in _near_threshold_cases():
+            point = next(p for p in hopf_points(model, lam, mu, 300.0 / lam)
+                         if 1j * p.omega == seed)
+            got = crossing_rate(model, lam, mu, point.delta_cr, seed)
+            expected = _per_model_crossing_rate(model, lam, mu, point.delta_cr, seed)
+            assert abs(got - expected) <= 1e-14 * abs(expected)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, -math.inf])
     def test_tol_must_be_positive(self, tol, monkeypatch):
@@ -652,6 +774,11 @@ class TestRootTrack:
                 root_track(CONSTANT, 10.0, 1.0, delta, 1j)
             with pytest.raises(ValueError, match="^delta must be finite and > 0"):
                 root_track(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
+        for model in (CONSTANT, MOVING_AVERAGE):
+            # e^(2000) overflows at the seed
+            with pytest.raises(ConvergenceError, match=r"^the residual overflows "
+                                                       r"at \(-5000\+0j\)$"):
+                root_track(model, 10.0, 1.0, 0.4, -5000.0)
 
 
 class TestHopfCurve:
