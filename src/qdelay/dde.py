@@ -33,10 +33,11 @@ DdeRhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class NumericalFailureError(RuntimeError):
-    """Integration produced a non-finite state; carries the failing time."""
+    """A run failed at its first node, node 0 included, whose state or
+    derivative is not finite; carries that node's time."""
 
-    def __init__(self, message: str, time: float):
-        super().__init__(f"{message} (t = {time:g})")
+    def __init__(self, time: float):
+        super().__init__(f"integration produced a non-finite state (t = {time:g})")
         self.time = time
 
 
@@ -92,10 +93,12 @@ def lagged_nodes(values, slopes, m: int) -> Iterator[tuple]:
     m >= 1 steps: step k reads node k + 1 - m, or node 0, the history,
     before the grid.  That is m - 1 copies of node 0, then the nodes, each
     read when its step comes, so the sequences may grow meanwhile.  The
-    Hermite midpoint of two history pairs is node 0 exactly."""
+    Hermite midpoint of two history pairs is node 0 exactly.  A grid within
+    the node budget takes fewer than 10^7 steps, so the copies stop there."""
     if m < 1:
         raise ValueError("the lag must be at least one step")
-    return chain(repeat((values[0], slopes[0]), m - 1), zip(values, slopes))
+    return chain(repeat((values[0], slopes[0]), min(m - 1, _MAX_NODES)),
+                 zip(values, slopes))
 
 
 def _hermite(theta, h, y0, y1, m0, m1):
@@ -211,7 +214,8 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     ValueError
         Invalid initial state, lag, step or horizon.
     NumericalFailureError
-        A stage, node or derivative went non-finite; carries the failing time.
+        At the first node, node 0 included, whose state or derivative is not
+        finite, or whose step had a stage the rhs rejected as non-finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
@@ -222,17 +226,18 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
     derivs = np.empty((n + 1, x0.size))
     states[0] = x0
     x0 = states[0]
-    derivs[0] = rhs(x0, x0)
-    if not ode:
-        lagged = lagged_nodes(states, derivs, m)
-        y0, d0 = x0, derivs[0]
-
     half = 0.5 * h
     sixth = h / 6.0
     s = x0
     # an overflow is reported as a NumericalFailureError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            derivs[0] = rhs(x0, x0)
+            if not np.isfinite(derivs[0]).all():
+                raise NumericalFailureError(0.0)
+            if not ode:
+                lagged = lagged_nodes(states, derivs, m)
+                y0, d0 = x0, derivs[0]
             for k in range(n):
                 x = states[k]
                 k1 = derivs[k]
@@ -249,14 +254,12 @@ def integrate(rhs: DdeRhs, lag: float, x0, step: float,
                 xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 dn = rhs(xn, xn if ode else ye) if np.isfinite(xn).all() else xn
                 if not np.isfinite(dn).all():
-                    raise NumericalFailureError("integration produced a non-finite state",
-                                                (k + 1) * h)
+                    raise NumericalFailureError((k + 1) * h)
                 states[k + 1] = xn
                 derivs[k + 1] = dn
         except ValueError:
             # the rhs may reject a stage state that overflowed within step k
             if not np.isfinite(s).all():
-                raise NumericalFailureError("integration produced a non-finite state",
-                                            (k + 1) * h) from None
+                raise NumericalFailureError((k + 1) * h) from None
             raise
     return Trajectory(step=h, states=states, derivs=derivs, lag=lag)

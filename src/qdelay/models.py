@@ -236,13 +236,14 @@ def simulate(model: str, params: ModelParams, horizon: float,
     Raises
     ------
     NumericalFailureError
-        At the time of the first node where ``s``, ``u``, ``u'/2`` (or
-        ``v``), or an assembled state or derivative, is not finite.  The
-        reference fails where a stage, a node or its derivative overflows:
-        on a blow-up mostly the same node, but near overflow the paths do
-        different arithmetic, and a stage the kernel never forms can fail.
+        At the first node, node 0 included, whose assembled state or
+        derivative is not finite: where ``s``, ``u``, ``u'/2`` (or ``v``)
+        first is.  The reference fails where a stage, a node or its
+        derivative overflows: on a blow-up mostly the same node, but near
+        overflow the paths do different arithmetic, and a stage the kernel
+        never forms can fail.
     """
-    p1, p2, m, h, n, series = _difference(model, params, horizon, step, phi1, phi2)
+    p1, p2, m, h, series = _difference(model, params, horizon, step, phi1, phi2)
     for i in range(len(series)):
         series[i] = np.array(series[i])
     u, du = series[0], series[1]
@@ -264,19 +265,21 @@ def simulate(model: str, params: ModelParams, horizon: float,
         _split(derivs, 0, 0.5 * (lam - mu * s), du)
         if model == MOVING_AVERAGE:
             inv = 1.0 / params.delta
-            lead = np.minimum(np.arange(size), m)
+            lead = np.minimum(np.arange(size), min(m, size))
             j = np.arange(size) - lead
             j_log = k_log[j]
             d_total = (c * inv) * np.exp(j_log) * np.expm1(lead * log_amp)
             total = s0 - d_total / mu - (h * c * inv) * (
-                lead + (z ** 4 * (2.0 - z) / 288.0) * (np.expm1(j_log) / r))
+                lead + (z * z * z * z * (2.0 - z) / 288.0) * (np.expm1(j_log) / r))
             _split(states, 2, 0.5 * total, series[2])
             _split(derivs, 2, 0.5 * d_total, 0.5 * ((u - u[j]) * inv))
+        # node 0 is the history, whose window averages are still
+        states[0] = (p1, p2, p1, p2)[:dim]
+        derivs[0, 2:] = 0.0
         bad = np.flatnonzero(~(np.isfinite(states).all(axis=1)
                                & np.isfinite(derivs).all(axis=1)))
-    if bad.size or size <= n:
-        raise _failure(int(bad[0]) if bad.size else size, h)
-    states[0] = (p1, p2, p1, p2)[:dim]
+    if bad.size:
+        raise NumericalFailureError(int(bad[0]) * h)
     return Trajectory(step=h, states=states, derivs=derivs, lag=params.delta)
 
 
@@ -304,29 +307,36 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
     step taken as one affine increment of ``u``, so ``u`` equals ``q1 - q2``
     of ``simulate_reference`` up to rounding, on identical node times.
     Arguments are those of ``simulate``, which accepts and rejects the same
-    histories; the first node at which ``u``, ``u'/2`` (or ``v``) is not
-    finite raises ``NumericalFailureError``, where ``simulate`` does too.
+    histories.
 
     Returns
     -------
     times, u : np.ndarray
         Node times ``k * h`` and the difference mode at them.
+
+    Raises
+    ------
+    NumericalFailureError
+        At the first node, node 0 included, where ``u``, ``u'/2`` (or ``v``)
+        is not finite; ``simulate`` fails there, or before where ``s`` does.
     """
-    _, _, _, h, n, series = _difference(model, params, horizon, step, phi1, phi2)
+    _, _, _, h, series = _difference(model, params, horizon, step, phi1, phi2)
     u = series[0]
-    if len(u) <= n:
-        raise _failure(len(u), h)
-    return np.arange(n + 1) * h, np.array(u)
+    first = bisect.bisect_left(range(len(u)), True,
+                               key=lambda k: not all(math.isfinite(c[k]) for c in series))
+    if first < len(u):
+        raise NumericalFailureError(first * h)
+    return np.arange(len(u)) * h, np.array(u)
 
 
 def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
-                phi2) -> tuple[float, float, int, float, int, list[list[float]]]:
+                phi2) -> tuple[float, float, int, float, list[list[float]]]:
     """Run the difference-mode kernel of one scenario.
 
-    Returns ``(phi1, phi2, m, h, n, series)``: the history constants, the
-    ``lag_grid`` and the kernel's per-node lists, ``[u, u'/2]`` or, for the
-    moving-average model, ``[u, u'/2, v / 2]``.  The lists stop early, at
-    ``len(u) <= n``, when node ``len(u)`` went non-finite.
+    Returns ``(phi1, phi2, m, h, series)``: the history constants, the lag
+    in steps and the step of ``lag_grid``, and the kernel's per-node lists,
+    ``[u, u'/2]`` or, for the moving-average model, ``[u, u'/2, v / 2]``.
+    They hold the ``n + 1`` nodes of the grid, or stop after a bad node.
     """
     p1, p2, h = _scenario(model, params, step, phi1, phi2)
     m, h, n = lag_grid(params.delta, h, horizon)
@@ -336,7 +346,7 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
         series = _difference_ode(params, p1 - p2, h, n)
     else:
         series = _difference_constant(params, p1 - p2, m, h, n)
-    return p1, p2, m, h, n, series
+    return p1, p2, m, h, series
 
 
 # The kernels below store u and u'/2 per node; the lagged reads stream over
@@ -365,17 +375,17 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 # reads.  The increment is added to u, never folded into a rounded
 # R = 1 + r, whose rounding would bias every step the same way.
 #
-# A non-finite u (or w) never becomes finite again in these steps, so the
-# kernels test u once per lag block of m steps, whose lagged reads all
-# precede the block, and cut the lists before the first node where u, u'/2
-# (or w) is not finite; the ODE kernel tests u'/2 every step.
+# A run fails at its first bad node, where u, u'/2 (or w) is not finite,
+# and a bad node poisons every later one: a non-finite u (or w) stays so in
+# these steps, and a u'/2 that overflows with u finite does so at node 0,
+# where the first step's midpoint reads inf - inf, or in a blow-up, whose
+# |u| grows on.  So the delay kernels test u (and w) once per lag block of
+# m steps, whose lagged reads all precede the block, and stop after a block
+# that ends bad; the ODE kernel stops after a bad u'/2.  The lists go back
+# whole, and ``simulate_difference`` bisects them for the first bad node.
 # On the regime-sweep cells a step costs about 0.4 us (constant model) and
 # 0.8 us (moving-average model), against 0.6 and 1.0 us stepped stage by
 # stage, on a shared 2-core x86 host under CPython 3.11.
-
-
-def _failure(node: int, h: float) -> NumericalFailureError:
-    return NumericalFailureError("integration produced a non-finite state", node * h)
 
 
 def _rk4_weights(params: ModelParams, h: float) -> tuple[float, ...]:
@@ -386,17 +396,6 @@ def _rk4_weights(params: ModelParams, h: float) -> tuple[float, ...]:
     return (z, z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))),
             c4 * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z))),
             c4 * (2.0 + z * (1.0 + 0.5 * z)), c4 * (2.0 + z), c4)
-
-
-def _finite_prefix(series: list[list[float]]) -> list[list[float]]:
-    # a node is bad once a list holds a non-finite value there, and every
-    # node after it is bad too, so the first one is found by bisection
-    isfinite = math.isfinite
-    first = bisect.bisect_left(range(len(series[0])), True,
-                               key=lambda k: not all(isfinite(c[k]) for c in series))
-    for values in series:
-        del values[first:]
-    return series
 
 
 def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
@@ -421,7 +420,7 @@ def _difference_constant(params: ModelParams, u0: float, m: int, h: float,
             u_append(x)
             du_append(neg_half_lam * t_end - half_mu * x)
             y0, d0, t_lag = y1, d1, t_end
-    return _finite_prefix([u, du])
+    return [u, du]
 
 
 def _difference_ode(params: ModelParams, u0: float, h: float,
@@ -443,10 +442,10 @@ def _difference_ode(params: ModelParams, u0: float, h: float,
         k4 = -lam * tanh(0.5 * s) - mu * s
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         d = neg_half_lam * tanh(0.5 * x) - half_mu * x
-        if not isfinite(d):  # as it is wherever x is
-            break
         u.append(x)
         du.append(d)
+        if not isfinite(d):  # as it is wherever x is
+            break
     return [u, du]
 
 
@@ -489,7 +488,7 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float,
             du_append(neg_half_lam * t1 - half_mu * x)
             w_append(w)
             y0, d0 = y1, d1
-    return _finite_prefix([u, du, ws])
+    return [u, du, ws]
 
 
 def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:

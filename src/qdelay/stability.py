@@ -203,9 +203,12 @@ def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float
                                      side, lam, mu)
             # 1 - cos(theta) as 2 sin(theta / 2)^2, which does not round to 0
             # where theta nears 2 pi, as the right root of (pi, 2 pi) does
-            # at large lam / mu
-            delta = theta * theta / (lam * math.sin(0.5 * theta) ** 2)
-            roots.append((delta, theta / delta))
+            # at large lam / mu.  Where lam times it still underflows, that
+            # root's delay is beyond every float, and it is left out
+            scale = lam * math.sin(0.5 * theta) ** 2
+            if scale > 0.0:
+                delta = theta * theta / scale
+                roots.append((delta, theta / delta))
         k += 2
     return roots
 
@@ -362,8 +365,8 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     pair enters the right half-plane as the delay grows.  Both partials
     follow from the model's coefficients and e = e^(-r delta):
     R_r = 2 p2 r + p1 - delta q e, the derivative ``root_track`` steps with,
-    and R_delta = dp0/ddelta + (dq/ddelta - r q) e.  A non-finite r, or one
-    at which e^(-r delta) overflows, raises ValueError.
+    and R_delta = dp0/ddelta + (dq/ddelta - r q) e.  A non-finite r, one
+    at which e^(-r delta) overflows, or one where R_r = 0 raises ValueError.
     """
     p2, p1, _, q, p0_delta, q_delta = _coefficients(model, lam, mu, delta)
     if not cmath.isfinite(r):
@@ -374,6 +377,8 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
         raise ValueError(f"e^(-r delta) overflows at r = {r}") from None
     r_delta = p0_delta + (q_delta - r * q) * decay
     r_r = 2.0 * p2 * r + p1 - delta * q * decay
+    if r_r == 0.0:
+        raise ValueError(f"singular residual derivative at {r}")
     return -r_delta / r_r
 
 

@@ -274,6 +274,38 @@ class TestExitCodes:
                     "--delta", "1e300", "--step", "1e-10", "--horizon", "1e-5"]) == 1
         assert capsys.readouterr().err == "error: lag / step = 1e+300 / 1e-10 overflows\n"
 
+    @pytest.mark.parametrize("argv,code,first_err", [
+        # node 0's derivative overflows in q2'
+        (["simulate", "--model", "constant", "--lambda", "2", "--mu", "1e3", "--delta",
+          "0.5", "--horizon", "5", "--phi1", "1e-300", "--phi2", "1.7e308"],
+         2, "numerical failure: integration produced a non-finite state (t = 0)"),
+        # a lag of 5e299 steps on a one-node grid
+        (["simulate", "--model", "constant", "--lambda", "1e3", "--mu", "1e-300",
+          "--delta", "1e300", "--horizon", "1", "--step", "2"], 0, None),
+        (["simulate", "--model", "moving-average", "--lambda", "1e3", "--mu", "1e-300",
+          "--delta", "1e300", "--horizon", "1", "--step", "2"], 0, None),
+        # mu h = 5e153: (mu h)^4 overflows in the window total's closed form
+        (["simulate", "--model", "moving-average", "--lambda", "1e154", "--mu", "1e154",
+          "--delta", "0.5", "--horizon", "5", "--phi1", "2", "--phi2", "2", "--step", "10"],
+         2, "numerical failure: integration produced a non-finite state (t = 0.5)"),
+        # lam sin(theta / 2)^2 underflows at the right roots of the phase function
+        (["hopf-curve", "--model", "moving-average", "--mu", "1e-320", "--lambda-min",
+          "1e-300", "--lambda-max", "2", "--points", "1"], 0, None),
+        (["sweep", "--model", "moving-average", "--mu", "1e-320", "--lambdas", "1e-300",
+          "--deltas", "1e154"], 0, "# 1 rows, 1 disagreements, 0 inconclusive"),
+    ], ids=["node-0-derivative", "lag-beyond-run-constant", "lag-beyond-run-ma",
+            "window-total-overflow", "hopf-curve-right-root", "sweep-right-root"])
+    def test_extreme_inputs_end_without_a_traceback(self, argv, code, first_err):
+        # a fresh interpreter, as warnings are errors: stderr shows what a user sees
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "qdelay", *argv],
+                              env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert (done.stderr.splitlines() or [None])[0] == first_err
+        if argv[0] == "simulate" and code == 0:
+            assert len(done.stdout.splitlines()) == 2  # the header and node 0
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out

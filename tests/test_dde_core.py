@@ -192,6 +192,12 @@ class TestIntegrate:
             integrate(lambda x, xl: x * x, 0.0, [5.0], 0.05, 5.0)
         assert 0.0 < info.value.time <= 5.0
 
+    def test_non_finite_node_0_derivative_fails_at_zero(self):
+        # node 0 is checked as every node is, without a numpy warning
+        with pytest.raises(NumericalFailureError) as info:
+            integrate(lambda x, xl: 1e300 * x * xl, 0.5, [1e10], 0.1, 1.0)
+        assert info.value.time == 0.0
+
     def test_non_finite_node_derivative_fails_at_that_node(self):
         # y' = -y at h = 1 visits 1, 0.5, 0.75 and 0.25 in its stages and
         # lands on 0.375, the only value at which z' overflows

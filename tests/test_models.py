@@ -446,6 +446,30 @@ class TestSimulateDifference:
                     failures.append(info.value.time)
                 assert failures == [t_fail] * 3
 
+    @pytest.mark.parametrize("model,delta", [
+        (CONSTANT, 0.5), (CONSTANT, 0.0), (MOVING_AVERAGE, 0.5)])
+    def test_non_finite_node_0_derivative_fails_at_zero(self, model, delta):
+        # mu phi2 overflows in q2' at node 0 itself, so all three fail there,
+        # without a warning (pytest makes warnings errors)
+        p = ModelParams(2.0, 1e3, delta)
+        for run in (simulate_reference, simulate, simulate_difference):
+            with pytest.raises(NumericalFailureError) as info:
+                run(model, p, 5.0, phi1=1e-300, phi2=1.7e308)
+            assert info.value.time == 0.0
+            assert str(info.value) == "integration produced a non-finite state (t = 0)"
+
+    @pytest.mark.parametrize("model", [CONSTANT, MOVING_AVERAGE])
+    def test_a_lag_beyond_every_run_reads_the_history(self, model):
+        # a lag of 5e299 steps: the one-node grid reads none of its copies
+        p = ModelParams(1e3, 1e-300, 1e300)
+        runs = [run(model, p, 1.0, step=2.0)
+                for run in (simulate_reference, simulate, simulate_difference)]
+        q = equilibrium(p)
+        expected = (1.1 * q, 0.9 * q, 1.1 * q, 0.9 * q)[:runs[0].dimension]
+        for traj in runs[:2]:
+            np.testing.assert_array_equal(traj.states, [expected])
+        np.testing.assert_array_equal(runs[2][1], [1.1 * q - 0.9 * q])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
     def test_reference_reports_a_lagged_stage_overflow(self):
         # at mu h = 7.5 and delta = 2 h a stage of the window averages m1, m2

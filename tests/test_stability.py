@@ -230,6 +230,14 @@ class TestCriticalDelayMa:
         assert point.delta_cr == pytest.approx(math.pi ** 2 / lam, rel=1e-6)
         assert checks.worst_residual(MOVING_AVERAGE, [point]) <= 1e-12 * lam / point.delta_cr
 
+    def test_right_roots_beyond_every_float_are_left_out(self):
+        # at lam / mu = 1e20 and lam = 1e-300, lam sin(theta / 2)^2 underflows
+        # to 0 at every right root: no float delay holds one
+        lam = 1e-300
+        points = critical_delay_ma(lam, 1e-320, bracket=(0.0, 1e302))
+        assert [p.delta_cr for p in points] == pytest.approx(
+            [math.pi ** 2 / lam, 9.0 * math.pi ** 2 / lam], rel=1e-12)
+
     def test_validated_points_satisfy_both_conditions(self):
         for lam in (10.0, 30.0, 100.0):
             for p in critical_delay_ma(lam, 1.0):
@@ -491,6 +499,10 @@ class TestCrossingRate:
             with pytest.raises(ValueError, match=r"^e\^\(-r delta\) overflows at "
                                                  r"r = -5000$"):
                 crossing_rate(model, 10.0, 1.0, 0.4, -5000)
+        # the real r = ln(lam delta / 2) / delta, where R_r = 1 - delta q e is 0
+        with pytest.raises(ValueError, match=r"^singular residual derivative at "
+                                             r"2\.2314355131420975$"):
+            crossing_rate(CONSTANT, 25.0, 1.0, 0.1, 2.2314355131420975)
 
 
 def _default_tol(model, lam, mu, delta):
