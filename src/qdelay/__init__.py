@@ -54,6 +54,7 @@ from .stability import (
     ma_candidate_roots,
     ma_threshold_function,
     root_track,
+    unstable_delays,
 )
 
 __version__ = "0.1.0"

@@ -101,8 +101,10 @@ _MIN_ENVELOPE_CHANGE = math.log(1.05)
 def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior local extrema of a sampled signal, refined by a parabola
     through each extremal node and its two neighbours."""
-    d = np.diff(x)
-    k = np.nonzero(d[:-1] * d[1:] < 0.0)[0] + 1
+    # opposite signs of consecutive differences, by their signs: the
+    # product of the differences can overflow
+    s = np.sign(np.diff(x))
+    k = np.nonzero(s[:-1] * s[1:] < 0.0)[0] + 1
     y0, y1, y2 = x[k - 1], x[k], x[k + 1]
     offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
     return times[k] + offset * (times[1] - times[0]), y1 - 0.25 * (y0 - y2) * offset
@@ -121,15 +123,19 @@ def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float, bool]
     swing = 0.5 * np.abs(np.diff(x_ext))
     dt = np.diff(0.5 * (t_ext[1:] + t_ext[:-1]))
     y = np.diff(np.log(swing)) / dt
-    a2 = swing[1:] * swing[:-1]
+    # A^2 from the swings scaled by 2^-e into [1/2, 1), so that no square
+    # overflows; a power of two scales exactly, so the fit keeps every bit
+    e = math.frexp(swing.max())[1]
+    scaled = np.ldexp(swing, -e)
+    a2 = scaled[1:] * scaled[:-1]
     a2_dev = a2 - a2.mean()
     sxx = float(a2_dev @ a2_dev)
     ell = float(a2_dev @ (y - y.mean())) / sxx if sxx > 0.0 else 0.0
     rate = float(y.mean()) - ell * float(a2.mean())
-    if rate < 0.0 and (ell <= 0.0 or swing[-1] ** 2 < -rate / ell):
+    if rate < 0.0 and (ell <= 0.0 or scaled[-1] ** 2 < -rate / ell):
         limit = 0.0
     elif rate >= 0.0 and ell < 0.0:
-        limit = 2.0 * math.sqrt(-rate / ell)
+        limit = math.ldexp(2.0 * math.sqrt(-rate / ell), e)
     else:
         limit = math.inf
     # a saturated cycle barely moves its envelope: the fitted limit says
@@ -230,19 +236,6 @@ def analytic_threshold(model: str, lam: float, mu: float) -> float | None:
     return points[0].delta_cr if points else None
 
 
-def _crossing_direction(model: str, point: stability.HopfPoint) -> int:
-    """+1 where the critical pair enters the right half-plane as the delay
-    grows past ``point``, -1 where it leaves it."""
-    rate = stability.crossing_rate(model, point.lam, point.mu, point.delta_cr,
-                                   1j * point.omega)
-    return 1 if rate.real > 0.0 else -1
-
-
-def _default_horizon(mu: float, delta: float) -> float:
-    # >= 20 relaxation times, and long enough to see several delay windows
-    return max(200.0 / mu, 50.0 * delta)
-
-
 # bisection steps of locate_transition; burn-in of every verdict
 _BISECTION_STEPS = 10
 _BURN_IN_FRACTION = 0.5
@@ -251,9 +244,13 @@ _BURN_IN_FRACTION = 0.5
 def _observe(model: str, params: models.ModelParams,
              horizon: float | None) -> StabilityVerdict:
     """Integrate the difference mode of one scenario from the default history
-    and classify it; the horizon defaults to ``_default_horizon``."""
+    and classify it.  The horizon defaults to max(200 / mu, 50 delta): at
+    least 20 relaxation times, and long enough to see several delay
+    windows."""
     if horizon is None:
-        horizon = _default_horizon(params.mu, params.delta)
+        horizon = max(200.0 / params.mu, 50.0 * params.delta)
+        if horizon == math.inf:
+            raise ValueError("the default horizon max(200/mu, 50 delta) overflows")
     times, diff = models.simulate_difference(model, params, horizon)
     return classify_difference(times, diff, params)
 
@@ -261,13 +258,12 @@ def _observe(model: str, params: models.ModelParams,
 def sweep(model: str, mu: float, lambdas, deltas,
           horizon: float | None = None) -> list[SweepRow]:
     """Integrate the difference mode of every (lam, delta) cell, classify it
-    and confront it with the analytic Hopf crossings.
+    and confront it with the analytic Hopf thresholds.
 
-    A cell is predicted oscillatory when more destabilising than
-    restabilising crossings lie at or below its delay (the moving-average
-    model restabilises at its second root), synchronized otherwise; the
-    sign of ``crossing_rate`` at each crossing gives its direction.  A NaN
-    or infinite delay, whose row fails, is predicted not-applicable.
+    A cell is predicted oscillatory when its delay lies in the bracket
+    [on, off) of ``stability.unstable_delays`` (the moving-average model
+    restabilises at off), synchronized otherwise, and not-applicable where
+    no delay is unstable or the delay is NaN or infinite (its row fails).
     Rows are produced in grid order (lambdas outer, deltas inner) and are
     independent of each other; integration failures are recorded per row
     rather than aborting the sweep.  ``agree`` is True when the observed
@@ -276,16 +272,13 @@ def sweep(model: str, mu: float, lambdas, deltas,
     """
     rows: list[SweepRow] = []
     deltas = [float(delta) for delta in deltas]
-    # crossings above the largest delay cannot change a prediction
-    reach = max((delta for delta in deltas if math.isfinite(delta)), default=0.0)
     for lam in lambdas:
         lam = float(lam)
-        crossings = [(p.delta_cr, _crossing_direction(model, p))
-                     for p in stability.hopf_points(model, lam, mu, reach)]
+        unstable = stability.unstable_delays(model, lam, mu)
         for delta in deltas:
-            if not crossings or not math.isfinite(delta):
+            if unstable is None or not math.isfinite(delta):
                 predicted = NOT_APPLICABLE
-            elif sum(sign for delta_cr, sign in crossings if delta_cr <= delta) > 0:
+            elif unstable[0] <= delta < unstable[1]:
                 predicted = OSCILLATORY
             else:
                 predicted = SYNCHRONIZED

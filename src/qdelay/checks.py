@@ -62,7 +62,8 @@ def crossing_signs(model: str, points, eps: float) -> list[int]:
     lie strictly on the sides that sign predicts."""
     signs = []
     for p in points:
-        sign = analysis._crossing_direction(model, p)
+        rate = stability.crossing_rate(model, p.lam, p.mu, p.delta_cr, 1j * p.omega)
+        sign = 1 if rate.real > 0.0 else -1
         for side in (1, -1):
             root = stability.root_track(model, p.lam, p.mu, p.delta_cr + side * eps,
                                         1j * p.omega)
@@ -164,17 +165,28 @@ def _residual_ma():
 def _crossing_direction():
     constant = [stability.critical_delay_constant(lam, mu)
                 for lam, mu in ((10.0, 1.0), (20.0, 2.0))]
-    ma = stability.critical_delay_ma(10.0, 1.0)
-    signs = crossing_signs(models.CONSTANT, constant, 1e-3) \
-        + crossing_signs(models.MOVING_AVERAGE, ma, 1e-3)
-    for p, sign in zip(constant + ma, signs):
-        if sign == 0:
-            return False, (f"sign mismatch at lambda={p.lam}, mu={p.mu}, "
-                           f"delta_cr={p.delta_cr:.6g}")
-    # the moving-average pair at (10, 1) enters, then leaves, the right half-plane
-    ok = signs[-2:] == [1, -1]
-    return ok, ("root-tracking signs match crossing_rate; moving-average "
-                f"(10, 1) crossings {signs[-2]:+d}, {signs[-1]:+d}")
+    # the (40, 1) crossings in increasing phase, two to each odd interval
+    nested = sorted(stability.critical_delay_ma(40.0, 1.0),
+                    key=lambda p: p.omega * p.delta_cr)
+    groups = [(models.CONSTANT, constant),
+              (models.MOVING_AVERAGE, stability.critical_delay_ma(10.0, 1.0)),
+              (models.MOVING_AVERAGE, nested)]
+    signs = [crossing_signs(model, points, 1e-3) for model, points in groups]
+    for (_, points), group in zip(groups, signs):
+        for p, sign in zip(points, group):
+            if sign == 0:
+                return False, (f"sign mismatch at lambda={p.lam}, mu={p.mu}, "
+                               f"delta_cr={p.delta_cr:.6g}")
+    # each interval's pair enters, then leaves, the right half-plane, and
+    # lies strictly inside the previous interval's pair
+    pairs = [(left.delta_cr, right.delta_cr)
+             for left, right in zip(nested[::2], nested[1::2])]
+    ok = signs[1] == [1, -1] and signs[2] == [1, -1] * 3 \
+        and all(a < c < d < b for (a, b), (c, d) in zip(pairs, pairs[1:]))
+    return ok, ("root-tracking signs match crossing_rate; moving-average (10, 1) "
+                f"crossings {signs[1][0]:+d}, {signs[1][1]:+d}; (40, 1) pairs "
+                + ", ".join(f"({a:.5g}, {b:.5g})" for a, b in pairs)
+                + " with signs " + " ".join(f"{sign:+d}" for sign in signs[2]))
 
 
 def _regime_boundary():

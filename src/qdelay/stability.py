@@ -8,8 +8,9 @@ in both models, with each model's coefficients held once in
 critical delays, where a root pair sits at r = i omega (in closed form for
 the constant-delay model, from the phase equation Im R(i omega) = 0 for the
 moving-average model); Newton tracking of a root as the delay moves; the
-implicit-function crossing rate dr/ddelta = -R_delta / R_r; and the Hopf
-points of each model in increasing delay (``hopf_points``).
+implicit-function crossing rate dr/ddelta = -R_delta / R_r; the Hopf
+points of each model in increasing delay (``hopf_points``); and the delays
+at which the equilibrium is unstable (``unstable_delays``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ma_candidate_roots",
     "ma_threshold_function",
     "root_track",
+    "unstable_delays",
 ]
 
 
@@ -136,7 +138,7 @@ def ma_threshold_function(theta: float, lam: float, mu: float) -> float:
     vanishes exactly when delta = 2 theta^2 / (lam (1 - cos theta)).
     Every zero theta > 0 is therefore a Hopf point at that delta.
     """
-    # _ma_roots calls this at the ends of every odd interval (its Newton
+    # _ma_pair calls this at the ends of every odd interval (its Newton
     # evaluates the same sum inline): test the rates inline and call
     # _validate_rates, which names the bad rate, only when one fails
     if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
@@ -151,7 +153,7 @@ def _newton_from_end(theta: float, f_theta: float, side: float,
     # f is convex there and f(theta) > 0, so each iterate stays on its end's
     # side of the root; stop once one fails to advance or f changes sign.
     # About five steps suffice; the cap is a guard.  f is evaluated inline,
-    # as ma_threshold_function sums it; _ma_roots has validated the rates
+    # as ma_threshold_function sums it; the caller has validated the rates
     two_mu = 2.0 * mu
     for _ in range(200):
         slope = lam * math.cos(theta) + two_mu
@@ -183,6 +185,30 @@ def _hopf_point_bound(lam: float, mu: float, delta_hi: float) -> float:
     return 2.0 * math.ceil(max(reach - 1.0, 0.0) / 2.0)
 
 
+def _ma_pair(k: int, lam: float, mu: float) -> list[tuple[float, float]] | None:
+    # (delta, omega) of the roots on the odd interval (k pi, (k + 1) pi),
+    # left first, or None where it holds none; see ma_candidate_roots.  The
+    # caller has validated the rates
+    if not 2.0 * mu * k * math.pi < lam:
+        return None
+    lo, hi = k * math.pi, (k + 1) * math.pi
+    if ma_threshold_function(lo + math.acos(2.0 * mu / lam), lam, mu) >= 0.0:
+        return None
+    pair = []
+    for end, side in ((lo, 1.0), (hi, -1.0)):
+        theta = _newton_from_end(end, ma_threshold_function(end, lam, mu), side, lam, mu)
+        # 1 - cos(theta) as 2 sin(theta / 2)^2, which does not round to 0
+        # where theta nears 2 pi, as the right root of (pi, 2 pi) does at
+        # large lam / mu.  Where lam times it still underflows, that root's
+        # delay is beyond every float, and it is left out; a left root,
+        # with sin(theta / 2)^2 > 1/2 and lam > 2 pi mu, never is
+        scale = lam * math.sin(0.5 * theta) ** 2
+        if scale > 0.0:
+            delta = theta * theta / scale
+            pair.append((delta, theta / delta))
+    return pair
+
+
 def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float]]:
     # (delta, omega) of every Hopf point whose phase interval can hold a
     # delay <= delta_hi, in increasing phase; see ma_candidate_roots
@@ -194,21 +220,11 @@ def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float
                          f"bracket (critical-delay --bracket LO HI)")
     roots = []
     k = 1
-    while 2.0 * mu * k * math.pi < lam and (k * math.pi) ** 2 < lam * delta_hi:
-        lo, hi = k * math.pi, (k + 1) * math.pi
-        if ma_threshold_function(lo + math.acos(2.0 * mu / lam), lam, mu) >= 0.0:
+    while (k * math.pi) ** 2 < lam * delta_hi:
+        pair = _ma_pair(k, lam, mu)
+        if pair is None:
             break
-        for end, side in ((lo, 1.0), (hi, -1.0)):
-            theta = _newton_from_end(end, ma_threshold_function(end, lam, mu),
-                                     side, lam, mu)
-            # 1 - cos(theta) as 2 sin(theta / 2)^2, which does not round to 0
-            # where theta nears 2 pi, as the right root of (pi, 2 pi) does
-            # at large lam / mu.  Where lam times it still underflows, that
-            # root's delay is beyond every float, and it is left out
-            scale = lam * math.sin(0.5 * theta) ** 2
-            if scale > 0.0:
-                delta = theta * theta / scale
-                roots.append((delta, theta / delta))
+        roots += pair
         k += 2
     return roots
 
@@ -294,6 +310,30 @@ def hopf_points(model: str, lam: float, mu: float,
         reach = max(9.0 * math.pi ** 2 / lam, delta_max)
         points = critical_delay_ma(lam, mu, bracket=(0.0, reach))
         return points[:1] + [p for p in points[1:] if p.delta_cr <= delta_max]
+    raise ValueError(f"unknown model kind: {model!r}")
+
+
+def unstable_delays(model: str, lam: float, mu: float) -> tuple[float, float] | None:
+    """The delays [on, off) at which the equilibrium of (lam, mu) is
+    unstable, or None where it is stable at every delay.
+
+    Constant-delay model: (delta_cr, inf) from ``critical_delay_constant``.
+    Moving-average model: the delays of the two roots of (pi, 2 pi) of the
+    phase function, with off = inf where the right root's delay is beyond
+    every float.  Every later interval's pair, measured on random scenarios
+    but not proved, lies strictly inside this one, destabilising at its
+    left root and restabilising at its right one, so it never changes
+    whether the equilibrium is unstable.
+    """
+    if model == CONSTANT:
+        point = critical_delay_constant(lam, mu)
+        return None if point is None else (point.delta_cr, math.inf)
+    if model == MOVING_AVERAGE:
+        _validate_rates(lam, mu)
+        pair = _ma_pair(1, lam, mu)
+        if pair is None:
+            return None
+        return pair[0][0], pair[1][0] if len(pair) > 1 else math.inf
     raise ValueError(f"unknown model kind: {model!r}")
 
 

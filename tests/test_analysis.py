@@ -13,8 +13,11 @@ from qdelay import (
     analysis,
     critical_delay_constant,
     critical_delay_ma,
+    crossing_rate,
     equilibrium,
+    hopf_points,
     simulate,
+    unstable_delays,
 )
 from qdelay.analysis import (
     FAILED,
@@ -233,7 +236,6 @@ class TestSweep:
         assert rows[1].predicted == SYNCHRONIZED
 
     def test_infinite_delay_fails_only_its_row(self):
-        # the Hopf search reaches the largest finite delay, 1e-5, not inf
         rows = sweep(MOVING_AVERAGE, 1.0, [1e7], [1e-5, math.inf, math.nan],
                      horizon=1e-3)
         assert rows[0].observed != FAILED and rows[0].error is None
@@ -261,6 +263,75 @@ class TestSweep:
                     (predicted, v.classification, v.growing)
                 assert row.agree == (predicted in (NOT_APPLICABLE, v.classification))
                 assert abs(row.amplitude - v.amplitude) <= 1e-12 * equilibrium(p)
+
+    def test_bracket_prediction_equals_the_signed_crossing_count(self, monkeypatch):
+        # the reference rule: oscillatory where more destabilising than
+        # restabilising crossings, signed by crossing_rate, lie at or below
+        # the delay.  A stub stands in for the integration; every Hopf delay
+        # and its neighbouring floats are among the cells
+        unobserved = analysis.StabilityVerdict(SYNCHRONIZED, 0.0, 0.0, 0.0, False)
+        monkeypatch.setattr(analysis, "_observe", lambda *args: unobserved)
+        rng = np.random.default_rng(21)
+        cells = 0
+        for model in (CONSTANT, MOVING_AVERAGE):
+            for _ in range(300):
+                mu = float(np.exp(rng.uniform(-3.0, 3.0)))
+                lam = mu * float(np.exp(rng.uniform(0.0, math.log(2000.0))))
+                hopf = [p.delta_cr for p in hopf_points(model, lam, mu, math.inf)]
+                span = hopf or [1.0 / mu]
+                deltas = [d for h in hopf for d in (math.nextafter(h, 0.0), h,
+                                                    math.nextafter(h, math.inf))]
+                deltas += list(np.exp(rng.uniform(math.log(0.25 * min(span)),
+                                                  math.log(4.0 * max(span)), 20)))
+                reach = max(deltas)
+                crossings = [(p.delta_cr, crossing_rate(model, lam, mu, p.delta_cr,
+                                                        1j * p.omega).real > 0.0)
+                             for p in hopf_points(model, lam, mu, reach)]
+                bracket = unstable_delays(model, lam, mu)
+                assert (bracket is None) == (not crossings)
+                rows = sweep(model, mu, [lam], deltas)
+                for row in rows:
+                    net = sum(1 if up else -1 for delta_cr, up in crossings
+                              if delta_cr <= row.delta)
+                    if crossings:
+                        assert (bracket[0] <= row.delta < bracket[1]) == (net > 0)
+                    expected = NOT_APPLICABLE if not crossings else \
+                        OSCILLATORY if net > 0 else SYNCHRONIZED
+                    assert row.predicted == expected, (model, lam, mu, row.delta)
+                cells += len(rows)
+        assert cells >= 10_000
+
+    def test_overflowing_crossing_rate_does_not_hide_the_threshold(self):
+        # delta_cr = 1.8e-308 lies far below the delay; crossing_rate
+        # overflows to nan here, and the prediction does not read it
+        (row,) = sweep(CONSTANT, 1e3, [1.7e308], [0.5])
+        assert (row.predicted, row.observed, row.agree) == (OSCILLATORY, OSCILLATORY, True)
+
+    def test_a_sweep_past_the_hopf_point_cap_fails_one_row(self):
+        # every Hopf point up to 1e6 would be 3.2 million points, past the
+        # cap; the first bracket alone predicts, and the cell fails on its grid
+        (row,) = sweep(MOVING_AVERAGE, 1.0, [1e8], [1e6])
+        assert (row.predicted, row.observed) == (OSCILLATORY, FAILED)
+        assert row.error == "the grid needs 5e+09 nodes, more than the 10000000 allowed"
+
+    def test_an_overflowing_default_horizon_is_named(self):
+        (row,) = sweep(MOVING_AVERAGE, 1e-320, [1e-300], [1e154])
+        assert row.observed == FAILED
+        assert row.error == "the default horizon max(200/mu, 50 delta) overflows"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam,mu,verdict", [
+        # the fit gives rate 0 on this saturated cycle, whose squared swings,
+        # unscaled, would overflow
+        (1e154, 1.0, "StabilityVerdict(classification='oscillatory', "
+         "amplitude=7.833954189396469e+153, burn_in=100.0, horizon=200.0, "
+         "growing=False, rate=0.0, limit_amplitude=inf)"),
+        (1.7e308, 1e3, "StabilityVerdict(classification='oscillatory', "
+         "amplitude=3.3999999999999986e+305, burn_in=12.5, horizon=25.0, "
+         "growing=False, rate=nan, limit_amplitude=nan)"),
+    ])
+    def test_extreme_rates_classify_without_warnings(self, lam, mu, verdict):
+        assert repr(analysis._observe(CONSTANT, ModelParams(lam, mu, 0.5), None)) == verdict
 
     def test_rows_follow_grid_order(self):
         rows = sweep(CONSTANT, 1.0, [5.0, 10.0], [0.1, 0.2])

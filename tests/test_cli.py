@@ -223,8 +223,8 @@ class TestSweepCommand:
         ]
 
     def test_infinite_delay_fails_its_own_row(self, capsys):
-        # the Hopf search reaches the largest finite delay, not inf, where
-        # it could list 1.6 million points at lambda = 1e7
+        # the prediction reads one bracket: no Hopf search runs up to the
+        # delay, which could list 1.6 million points at lambda = 1e7
         assert run(["sweep", "--model", "moving-average", "--mu", "1",
                     "--lambdas", "1e7", "--deltas", "1e-5,inf"]) == 0
         out, err = capsys.readouterr()

@@ -32,6 +32,7 @@ from qdelay import (
     ma_candidate_roots,
     ma_threshold_function,
     root_track,
+    unstable_delays,
 )
 
 RNG = np.random.default_rng(5)
@@ -440,6 +441,56 @@ class TestHopfPoints:
             for lam in (0.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match="^lam must be finite and > 0$"):
                     hopf_points(model, lam, 1.0)
+
+
+def _random_rates(rng, n, a_lo, a_hi):
+    # (lam, mu) with a = lam / mu and mu log-uniform, mu in [e^-3, e^3]
+    a = np.exp(rng.uniform(math.log(a_lo), math.log(a_hi), n))
+    mu = np.exp(rng.uniform(-3.0, 3.0, n))
+    return [(float(x * m), float(m)) for x, m in zip(a, mu)]
+
+
+class TestUnstableDelays:
+    def test_reference_brackets(self):
+        first, second = critical_delay_ma(10.0, 1.0)[:2]
+        assert unstable_delays(MOVING_AVERAGE, 10.0, 1.0) == (first.delta_cr, second.delta_cr)
+        point = critical_delay_constant(10.0, 1.0)
+        assert unstable_delays(CONSTANT, 10.0, 1.0) == (point.delta_cr, math.inf)
+        assert unstable_delays(CONSTANT, 2.0, 1.0) is None
+        assert unstable_delays(MOVING_AVERAGE, 4.0, 1.0) is None
+
+    def test_right_delay_beyond_every_float_is_inf(self):
+        # lam sin(theta / 2)^2 underflows at the right root of (pi, 2 pi)
+        on, off = unstable_delays(MOVING_AVERAGE, 1e-300, 1e-320)
+        assert on == pytest.approx(math.pi ** 2 / 1e-300, rel=1e-12)
+        assert off == math.inf
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            unstable_delays("other", 10.0, 1.0)
+        for model in (CONSTANT, MOVING_AVERAGE):
+            with pytest.raises(ValueError, match="^mu must be finite and > 0$"):
+                unstable_delays(model, 10.0, math.nan)
+
+    def test_intervals_nest_with_one_sign_rule(self):
+        # every odd phase interval's pair destabilises at its left root,
+        # restabilises at its right one, and lies strictly inside the pair
+        # before it, so (pi, 2 pi) alone decides the regime
+        crossings = 0
+        for lam, mu in _random_rates(np.random.default_rng(12), 1000, 2.5, 2000.0):
+            roots = stability._ma_roots(lam, mu, math.inf)
+            assert len(roots) % 2 == 0
+            pairs = list(zip(roots[::2], roots[1::2]))
+            for pair in pairs:
+                signs = [crossing_rate(MOVING_AVERAGE, lam, mu, delta, 1j * omega).real
+                         for delta, omega in pair]
+                assert signs[0] > 0.0 > signs[1], (lam, mu, pair)
+            for (a, b), (c, d) in zip(pairs, pairs[1:]):
+                assert a[0] < c[0] < d[0] < b[0], (lam, mu)
+            expected = (pairs[0][0][0], pairs[0][1][0]) if pairs else None
+            assert unstable_delays(MOVING_AVERAGE, lam, mu) == expected
+            crossings += len(roots)
+        assert crossings > 10_000
 
 
 class TestCrossingRate:
