@@ -41,20 +41,11 @@ class StabilityVerdict:
     """Asymptotic-regime classification of a two-queue trajectory.
 
     ``amplitude`` is the tail amplitude of q1 - q2 (max - min after the
-    burn-in).  Where the tail holds enough oscillation extrema, their
-    envelope A is fitted by the Stuart-Landau law
-    d ln A / dt = ``rate`` + ell A^2, and ``limit_amplitude`` is the tail
-    amplitude that law settles at (0 for a decaying oscillation, ``inf``
-    for unbounded growth).  Both are nan when no envelope was fitted, and
-    when the fit was not trusted and its limit would classify the run
-    otherwise than ``classification``, so that they never contradict it.
-    ``classification`` is synchronized iff the classified amplitude is below
-    the first of ``default_thresholds``, oscillatory iff above the second,
-    else inconclusive; see ``classify_difference`` for when the limit
-    replaces the raw amplitude.
-    ``growing`` reports whether the amplitude over the last quarter of the
-    run exceeds that of the previous quarter; it never changes the
-    classification.
+    burn-in), and ``classification`` the regime that ``classify_difference``
+    decides.  ``growing`` reports whether the amplitude over the last
+    quarter of the run exceeds that of the previous quarter.  ``rate`` and
+    ``limit_amplitude`` are the fit that decided the verdict, nan where the
+    raw amplitude did.
     """
 
     classification: str
@@ -92,10 +83,10 @@ def default_thresholds(params: models.ModelParams) -> tuple[float, float]:
     return 1e-3 * q, 1e-2 * q
 
 
-# Envelope fit: fewest tail extrema, and the smallest relative change of the
-# fitted envelope over the tail, for which the limit amplitude is trusted.
+# Fewest tail extrema for an envelope fit; largest ratio between the
+# amplitudes of the last two quarters of a settled run.
 _MIN_EXTREMA = 6
-_MIN_ENVELOPE_CHANGE = math.log(1.05)
+_SETTLED = 1.05
 
 
 def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,17 +101,19 @@ def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return times[k] + offset * (times[1] - times[0]), y1 - 0.25 * (y0 - y2) * offset
 
 
-def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float, bool] | None:
+def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:
     """Stuart-Landau fit d ln A / dt = rate + ell A^2 of the half-swings A
     between consecutive extrema of x.
 
-    Returns (rate, limit amplitude as max - min, trusted), or None with
-    fewer than ``_MIN_EXTREMA`` extrema.
+    Returns (rate, limit amplitude as max - min), or None with fewer than
+    ``_MIN_EXTREMA`` extrema or a swing of 0, whose log has no value.
     """
     t_ext, x_ext = _tail_extrema(times, x)
     if t_ext.size < _MIN_EXTREMA:
         return None
     swing = 0.5 * np.abs(np.diff(x_ext))
+    if not swing.all():
+        return None
     dt = np.diff(0.5 * (t_ext[1:] + t_ext[:-1]))
     y = np.diff(np.log(swing)) / dt
     # A^2 from the swings scaled by 2^-e into [1/2, 1), so that no square
@@ -138,10 +131,7 @@ def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float, bool]
         limit = math.ldexp(2.0 * math.sqrt(-rate / ell), e)
     else:
         limit = math.inf
-    # a saturated cycle barely moves its envelope: the fitted limit says
-    # nothing of it
-    change = float((rate + ell * a2) @ dt)
-    return rate, limit, abs(change) >= _MIN_ENVELOPE_CHANGE
+    return rate, limit
 
 
 def _classify_amplitude(amplitude: float, eps_sync: float, eps_osc: float) -> str:
@@ -162,28 +152,24 @@ def classify_difference(times: np.ndarray, diff: np.ndarray,
                         params: models.ModelParams) -> StabilityVerdict:
     """Classify the asymptotic regime of q1 - q2, sampled as ``diff`` on the
     uniform grid ``times`` (as ``simulate_difference`` returns it), from the
-    second half of the run, against ``default_thresholds(params)``.
+    second half of the run, against ``default_thresholds(params)``: an
+    amplitude below the first threshold is synchronized, one above the
+    second oscillatory, and any other inconclusive.
 
     The raw amplitude is max - min of the difference over the post-burn-in
-    nodes.  Near a Hopf threshold the slowest mode relaxes over many
-    horizons, so the raw amplitude at T still carries a decaying (or
-    growing) transient.  When the tail holds at least 6 extrema, the
+    nodes.  It decides where it is below ``eps_sync``, and where the run has
+    settled: the peak-to-peak amplitudes of its last two quarters differ by
+    at most 5% either way.  This holds for a simple cycle and for a
+    modulated tail alike.  Otherwise the tail still carries a transient,
+    as it does near a Hopf threshold, where the slowest mode relaxes over
+    many horizons.  There, when the tail holds at least 6 extrema, the
     half-swings A between consecutive extrema are fitted by
     d ln A / dt = sigma + ell A^2 (least squares on the log-differences;
     sigma, reported as ``rate``, is the real part of the dominant
     characteristic root), and the run is classified by the tail amplitude
     this law tends to: 0 when it decays, 2 sqrt(-sigma / ell) on a stable
-    limit cycle, and unbounded otherwise.  The raw amplitude is classified instead when
-
-    * the tail holds fewer than 6 extrema, or its amplitude is already
-      below ``eps_sync``;
-    * the fitted log-envelope changes by less than 5% over the tail (a
-      saturated cycle, whose fit carries no information about a limit).
-
-    In that last case ``rate`` and ``limit_amplitude`` are still reported
-    where the limit classifies as the raw amplitude does, and are nan where
-    it does not: an untrusted fit that would call an oscillatory tail a
-    decay to 0 is no evidence for the verdict.
+    limit cycle, and unbounded otherwise.  ``rate`` and ``limit_amplitude``
+    are the fit that decided the verdict, nan where the raw amplitude did.
 
     The horizon should still cover several oscillation periods after the
     burn-in.
@@ -196,24 +182,20 @@ def classify_difference(times: np.ndarray, diff: np.ndarray,
         raise ValueError("horizon too short for the requested burn-in")
     amplitude = float(tail.max() - tail.min())
     classification = _classify_amplitude(amplitude, eps_sync, eps_osc)
-    rate = limit = math.nan
-    if amplitude >= eps_sync:
-        fit = _envelope_fit(times[start:], tail)
-        if fit is not None:
-            rate, limit, trusted = fit
-            fitted = _classify_amplitude(limit, eps_sync, eps_osc)
-            if trusted:
-                classification = fitted
-            elif fitted != classification:
-                rate = limit = math.nan
     q3 = (3 * (n - 1)) // 4
     q2 = (n - 1) // 2
-    last = diff[q3:]
-    prev = diff[q2:q3 + 1]
-    growing = float(last.max() - last.min()) > float(prev.max() - prev.min())
+    last = float(np.ptp(diff[q3:]))
+    prev = float(np.ptp(diff[q2:q3 + 1]))
+    settled = last <= _SETTLED * prev and prev <= _SETTLED * last
+    rate = limit = math.nan
+    if amplitude >= eps_sync and not settled:
+        fit = _envelope_fit(times[start:], tail)
+        if fit is not None:
+            rate, limit = fit
+            classification = _classify_amplitude(limit, eps_sync, eps_osc)
     return StabilityVerdict(classification=classification, amplitude=amplitude,
                             burn_in=float(times[start]),
-                            horizon=float(times[-1]), growing=growing,
+                            horizon=float(times[-1]), growing=last > prev,
                             rate=rate, limit_amplitude=limit)
 
 

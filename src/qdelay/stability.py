@@ -187,8 +187,8 @@ def _hopf_point_bound(lam: float, mu: float, delta_hi: float) -> float:
 
 def _ma_pair(k: int, lam: float, mu: float) -> list[tuple[float, float]] | None:
     # (delta, omega) of the roots on the odd interval (k pi, (k + 1) pi),
-    # left first, or None where it holds none; see ma_candidate_roots.  The
-    # caller has validated the rates
+    # left first, or None where it holds none with a finite delay; see
+    # ma_candidate_roots.  The caller has validated the rates
     if not 2.0 * mu * k * math.pi < lam:
         return None
     lo, hi = k * math.pi, (k + 1) * math.pi
@@ -199,14 +199,15 @@ def _ma_pair(k: int, lam: float, mu: float) -> list[tuple[float, float]] | None:
         theta = _newton_from_end(end, ma_threshold_function(end, lam, mu), side, lam, mu)
         # 1 - cos(theta) as 2 sin(theta / 2)^2, which does not round to 0
         # where theta nears 2 pi, as the right root of (pi, 2 pi) does at
-        # large lam / mu.  Where lam times it still underflows, that root's
-        # delay is beyond every float, and it is left out; a left root,
-        # with sin(theta / 2)^2 > 1/2 and lam > 2 pi mu, never is
+        # large lam / mu.  Where lam times it still underflows, or the
+        # quotient overflows, that root's delay is beyond every float, and
+        # it is left out.  delta(theta) increases on the interval, so a left
+        # root is left out only with its right one
         scale = lam * math.sin(0.5 * theta) ** 2
-        if scale > 0.0:
-            delta = theta * theta / scale
+        delta = theta * theta / scale if scale > 0.0 else math.inf
+        if delta < math.inf:
             pair.append((delta, theta / delta))
-    return pair
+    return pair or None
 
 
 def _ma_roots(lam: float, mu: float, delta_hi: float) -> list[tuple[float, float]]:
@@ -320,10 +321,10 @@ def unstable_delays(model: str, lam: float, mu: float) -> tuple[float, float] | 
     Constant-delay model: (delta_cr, inf) from ``critical_delay_constant``.
     Moving-average model: the delays of the two roots of (pi, 2 pi) of the
     phase function, with off = inf where the right root's delay is beyond
-    every float.  Every later interval's pair, measured on random scenarios
-    but not proved, lies strictly inside this one, destabilising at its
-    left root and restabilising at its right one, so it never changes
-    whether the equilibrium is unstable.
+    every float, and None where both are.  Every later interval's pair,
+    measured on random scenarios but not proved, lies strictly inside this
+    one, destabilising at its left root and restabilising at its right one,
+    so it never changes whether the equilibrium is unstable.
     """
     if model == CONSTANT:
         point = critical_delay_constant(lam, mu)

@@ -17,6 +17,7 @@ from qdelay import (
     equilibrium,
     hopf_points,
     simulate,
+    simulate_difference,
     unstable_delays,
 )
 from qdelay.analysis import (
@@ -102,15 +103,17 @@ class TestClassifyStability:
         delta_cr = critical_delay_constant(10.0, 1.0).delta_cr
         below = _classify(CONSTANT, 10.0, 1.0, 0.99 * delta_cr, 200.0)
         above = _classify(CONSTANT, 10.0, 1.0, 1.01 * delta_cr, 200.0)
-        assert below.rate < 0.0 < above.rate
+        # below, the tail still decays and the fit decides; above, its last
+        # two quarters differ by 1.2%, so the settled raw amplitude does
+        assert below.rate < 0.0
+        assert math.isnan(above.rate)
         assert below.classification == SYNCHRONIZED
         assert above.classification == OSCILLATORY
 
     def test_modulated_cycle_stays_oscillatory(self):
         # a settled limit cycle whose half-swings wander between 7.1097 and
-        # 7.1169: its fitted log-envelope changes by -7.6e-6 over the tail,
-        # far below the 5% a trusted fit needs, so the raw amplitude decides,
-        # and the fit's limit 0, which contradicts it, is reported as nan
+        # 7.1169: its last two quarters differ by 2e-5, so the raw amplitude
+        # decides and no fit is reported
         v = _classify(MOVING_AVERAGE, 452.311, 20.7113, 0.0544787, 1.634361)
         assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
         assert v.classification == OSCILLATORY
@@ -120,8 +123,8 @@ class TestClassifyStability:
         (MOVING_AVERAGE, 100.0, 5.0, 1.3),
     ])
     def test_no_decay_evidence_on_an_oscillatory_verdict(self, model, lam, mu, fraction):
-        # cycles whose untrusted envelope fit says rate < 0 and limit 0, at
-        # the horizon 200 / mu that sweep gives them
+        # settled cycles, at the horizon 200 / mu that sweep gives them,
+        # whose envelope fit would say rate < 0 and limit 0
         delta = fraction * analysis.analytic_threshold(model, lam, mu)
         v = _classify(model, lam, mu, delta, 200.0 / mu)
         assert v.classification == OSCILLATORY
@@ -130,6 +133,22 @@ class TestClassifyStability:
     def test_no_envelope_fit_once_synchronized(self):
         v = _classify(CONSTANT, 10.0, 1.0, 0.30, 200.0)
         assert v.classification == SYNCHRONIZED
+        assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
+
+    def test_envelope_fit_refuses_a_zero_swing(self):
+        # the flat maximum hides the extremum between two minima of -1, so
+        # one half-swing is 0 and its log has no value
+        cycle = [0.0, 1.0, 0.0, -1.0]
+        x = np.array(cycle * 2 + [0.0, 1.0, 1.0, 0.0, -1.0] + cycle * 2 + [0.0])
+        assert analysis._envelope_fit(0.1 * np.arange(x.size), x) is None
+
+    @pytest.mark.parametrize("lam,delta", [(40.0, 20.0), (100.0, 33.232)])
+    def test_settled_moving_average_tails_far_past_threshold_oscillate(self, lam, delta):
+        # the last two quarters differ by 0.8% and 0.4%; an envelope fit
+        # gives these tails a decay to 0
+        v = analysis._observe(MOVING_AVERAGE, ModelParams(lam, 1.0, delta), None)
+        assert v.classification == OSCILLATORY
+        assert v.amplitude > 3.0 * equilibrium(ModelParams(lam, 1.0, delta))
         assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
 
     def test_default_thresholds_scale_with_equilibrium(self):
@@ -321,17 +340,35 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lam,mu,verdict", [
-        # the fit gives rate 0 on this saturated cycle, whose squared swings,
-        # unscaled, would overflow
+        # a settled cycle, classified by its raw amplitude
         (1e154, 1.0, "StabilityVerdict(classification='oscillatory', "
          "amplitude=7.833954189396469e+153, burn_in=100.0, horizon=200.0, "
-         "growing=False, rate=0.0, limit_amplitude=inf)"),
+         "growing=False, rate=nan, limit_amplitude=nan)"),
         (1.7e308, 1e3, "StabilityVerdict(classification='oscillatory', "
          "amplitude=3.3999999999999986e+305, burn_in=12.5, horizon=25.0, "
          "growing=False, rate=nan, limit_amplitude=nan)"),
     ])
     def test_extreme_rates_classify_without_warnings(self, lam, mu, verdict):
         assert repr(analysis._observe(CONSTANT, ModelParams(lam, mu, 0.5), None)) == verdict
+
+    @pytest.mark.filterwarnings("error")
+    def test_envelope_fit_of_swings_whose_squares_overflow(self):
+        # the tail of the (1e154, 1, 0.5) cycle, whose squared swings,
+        # unscaled, would overflow: the fit gives rate 0
+        params = ModelParams(1e154, 1.0, 0.5)
+        times, diff = simulate_difference(CONSTANT, params, 200.0)
+        start = math.ceil(0.5 * (diff.size - 1))
+        assert analysis._envelope_fit(times[start:], diff[start:]) == (0.0, math.inf)
+
+    def test_moving_average_cells_far_past_threshold(self):
+        # delta 20 and 33 lie inside the first Hopf pair (0.2754, 39.085),
+        # where the tails have settled, and 60 past it, where the oscillation
+        # has decayed; at 46.9022 the dominant root decays at only 1.5e-4, and
+        # the default horizon still sees the transient oscillate
+        rows = sweep(MOVING_AVERAGE, 1.0, [40.0], [20.0, 33.0, 46.9022, 60.0])
+        assert [row.predicted for row in rows] == \
+            [OSCILLATORY, OSCILLATORY, SYNCHRONIZED, SYNCHRONIZED]
+        assert [row.delta for row in rows if not row.agree] == [46.9022]
 
     def test_rows_follow_grid_order(self):
         rows = sweep(CONSTANT, 1.0, [5.0, 10.0], [0.1, 0.2])

@@ -173,6 +173,13 @@ class TestHopfCurveCommand:
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         assert all(line.split(",")[4] == "true" for line in lines[1:])
 
+    def test_no_row_at_an_overflowing_delay(self, capsys):
+        # both delays of (pi, 2 pi) overflow: no Hopf point to print
+        assert run(["hopf-curve", "--model", "moving-average", "--mu", "5e-324",
+                    "--lambda-min", "1e-322", "--lambda-max", "1e-322",
+                    "--points", "1"]) == 0
+        assert capsys.readouterr().out == "lambda,delta_cr,omega,branch,validated\n"
+
     def test_grid_beyond_the_cap_is_usage_error(self, capsys):
         # refused before the 8 GB grid is built
         assert run(["hopf-curve", "--model", "constant", "--mu", "1",

@@ -239,6 +239,10 @@ class TestCriticalDelayMa:
         assert [p.delta_cr for p in points] == pytest.approx(
             [math.pi ** 2 / lam, 9.0 * math.pi ** 2 / lam], rel=1e-12)
 
+    def test_no_point_at_an_overflowing_delay(self):
+        # theta^2 / (lam sin(theta / 2)^2) overflows at both roots of (pi, 2 pi)
+        assert critical_delay_ma(1e-322, 5e-324) == []
+
     def test_validated_points_satisfy_both_conditions(self):
         for lam in (10.0, 30.0, 100.0):
             for p in critical_delay_ma(lam, 1.0):
@@ -464,6 +468,9 @@ class TestUnstableDelays:
         on, off = unstable_delays(MOVING_AVERAGE, 1e-300, 1e-320)
         assert on == pytest.approx(math.pi ** 2 / 1e-300, rel=1e-12)
         assert off == math.inf
+
+    def test_both_delays_beyond_every_float_is_none(self):
+        assert unstable_delays(MOVING_AVERAGE, 1e-322, 5e-324) is None
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown model kind"):
