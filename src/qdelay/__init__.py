@@ -13,7 +13,6 @@ from .analysis import (
     SYNCHRONIZED,
     StabilityVerdict,
     SweepRow,
-    analytic_threshold,
     classify_difference,
     classify_stability,
     conservation_check,

@@ -20,7 +20,6 @@ __all__ = [
     "SYNCHRONIZED",
     "StabilityVerdict",
     "SweepRow",
-    "analytic_threshold",
     "classify_difference",
     "classify_stability",
     "conservation_check",
@@ -92,10 +91,12 @@ _SETTLED = 1.05
 def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior local extrema of a sampled signal, refined by a parabola
     through each extremal node and its two neighbours."""
-    # opposite signs of consecutive differences, by their signs: the
-    # product of the differences can overflow
+    # a turn where the sign of a nonzero difference differs from that of the
+    # previous nonzero one, so that a flat step between them hides no turn;
+    # the extremal node ends the earlier one, so y0 - 2 y1 + y2 is not 0
     s = np.sign(np.diff(x))
-    k = np.nonzero(s[:-1] * s[1:] < 0.0)[0] + 1
+    nz = np.flatnonzero(s)
+    k = nz[:-1][s[nz[:-1]] != s[nz[1:]]] + 1
     y0, y1, y2 = x[k - 1], x[k], x[k + 1]
     offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
     return times[k] + offset * (times[1] - times[0]), y1 - 0.25 * (y0 - y2) * offset
@@ -210,12 +211,6 @@ def conservation_check(traj: Trajectory, params: models.ModelParams) -> float:
     s_inf = params.lam / params.mu
     target = s_inf + (s[0] - s_inf) * np.exp(-params.mu * traj.times)
     return float(np.max(np.abs(s - target)))
-
-
-def analytic_threshold(model: str, lam: float, mu: float) -> float | None:
-    """Smallest critical delay for (lam, mu), or None where none exists."""
-    points = stability.hopf_points(model, lam, mu)
-    return points[0].delta_cr if points else None
 
 
 # bisection steps of locate_transition; burn-in of every verdict

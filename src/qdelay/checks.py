@@ -31,16 +31,15 @@ def swap_is_exact(model: str, params: models.ModelParams, horizon: float,
 
 def order_ratio(params: models.ModelParams, phi: float, horizon: float,
                 step: float) -> float:
-    """Ratio of the max errors of full-state constant-model runs at ``step``
-    and ``step / 2`` from the identical histories phi, on which
-    q1 = q2 = q* + (phi - q*) e^(-mu t): about 16 for a fourth-order scheme."""
-    q = models.equilibrium(params)
+    """Ratio of the ``conservation_check`` errors of full-state constant-model
+    runs at ``step`` and ``step / 2`` from the identical histories phi, on
+    which q1 = q2, so that q1 + q2 errs exactly twice as far as each queue
+    from its relaxation: about 16 for a fourth-order scheme."""
 
     def max_err(h):
         traj = models.simulate_reference(models.CONSTANT, params, horizon, step=h,
                                          phi1=phi, phi2=phi)
-        exact = q + (phi - q) * np.exp(-params.mu * traj.times)
-        return float(np.max(np.abs(traj.states[:, 0] - exact)))
+        return analysis.conservation_check(traj, params)
 
     return max_err(step) / max_err(0.5 * step)
 
@@ -218,7 +217,7 @@ def _time_rescaling():
     for model in models.MODEL_KINDS:
         for lam, mu in ((10.0, 1.0), (100.0, 5.0)):
             # a delay past the first threshold, so the kernel runs a growing cycle
-            delta = 1.2 * analysis.analytic_threshold(model, lam, mu)
+            delta = 1.2 * stability.unstable_delays(model, lam, mu)[0]
             params = models.ModelParams(lam, mu, delta)
             for c in (0.1, 10.0):
                 worst = np.maximum(worst, scaling_deviations(model, params, c, 50.0 * delta,

@@ -63,6 +63,14 @@ _NEEDS_WINDOW = ("the moving-average model needs delta > 0; "
                  "use the constant model at delta = 0")
 
 
+def _validate_rates(lam: float, mu: float) -> None:
+    # one chained comparison per rate: False for NaN, +-inf and values <= 0
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be finite and > 0")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """One scenario: total arrival rate, per-queue service rate, delay."""
@@ -72,15 +80,9 @@ class ModelParams:
     delta: float
 
     def __post_init__(self):
-        for name, value in (("lam", self.lam), ("mu", self.mu), ("delta", self.delta)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be > 0")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
+        _validate_rates(self.lam, self.mu)
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
 
 
 def mnl_weights(a: float, b: float) -> tuple[float, float]:
@@ -241,7 +243,13 @@ def simulate(model: str, params: ModelParams, horizon: float,
         first is.  The reference fails where a stage, a node or its
         derivative overflows: on a blow-up mostly the same node, but near
         overflow the paths do different arithmetic, and a stage the kernel
-        never forms can fail.
+        never forms can fail.  At a step where the sum mode is unstable,
+        |R(-mu h)| > 1, ``s`` grows from ``c``, which for the default
+        histories is a rounding error, so ``simulate`` can fail tens of
+        nodes before the reference: the moving-average run of
+        (51.26945139373465, 8.777724078582366, 2.125688265563709) at step
+        0.40992221161141035 and horizon 1500 steps fails at node 1491,
+        the reference at node 1558.  The default step is stable.
     """
     p1, p2, m, h, series = _difference(model, params, horizon, step, phi1, phi2)
     for i in range(len(series)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONSTANT, MOVING_AVERAGE
+from .models import CONSTANT, MOVING_AVERAGE, _validate_rates
 
 __all__ = [
     "ConvergenceError",
@@ -60,14 +60,6 @@ class HopfPoint:
     omega: float
     branch: int = 0
     validated: bool = True
-
-
-def _validate_rates(lam: float, mu: float) -> None:
-    # one chained comparison per rate: False for NaN, +-inf and values <= 0
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be finite and > 0")
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be finite and > 0")
 
 
 def _coefficients(model: str, lam: float, mu: float,
@@ -407,7 +399,8 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     follow from the model's coefficients and e = e^(-r delta):
     R_r = 2 p2 r + p1 - delta q e, the derivative ``root_track`` steps with,
     and R_delta = dp0/ddelta + (dq/ddelta - r q) e.  A non-finite r, one
-    at which e^(-r delta) overflows, or one where R_r = 0 raises ValueError.
+    at which e^(-r delta) overflows, one where R_r = 0, or one whose rate
+    overflows raises ValueError.
     """
     p2, p1, _, q, p0_delta, q_delta = _coefficients(model, lam, mu, delta)
     if not cmath.isfinite(r):
@@ -420,7 +413,10 @@ def crossing_rate(model: str, lam: float, mu: float, delta: float,
     r_r = 2.0 * p2 * r + p1 - delta * q * decay
     if r_r == 0.0:
         raise ValueError(f"singular residual derivative at {r}")
-    return -r_delta / r_r
+    rate = -r_delta / r_r
+    if not cmath.isfinite(rate):
+        raise ValueError(f"the crossing rate overflows at r = {r}")
+    return rate
 
 
 def hopf_curve(model: str, mu: float, lambda_range: tuple[float, float],

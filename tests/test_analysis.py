@@ -125,7 +125,7 @@ class TestClassifyStability:
     def test_no_decay_evidence_on_an_oscillatory_verdict(self, model, lam, mu, fraction):
         # settled cycles, at the horizon 200 / mu that sweep gives them,
         # whose envelope fit would say rate < 0 and limit 0
-        delta = fraction * analysis.analytic_threshold(model, lam, mu)
+        delta = fraction * unstable_delays(model, lam, mu)[0]
         v = _classify(model, lam, mu, delta, 200.0 / mu)
         assert v.classification == OSCILLATORY
         assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
@@ -135,12 +135,35 @@ class TestClassifyStability:
         assert v.classification == SYNCHRONIZED
         assert math.isnan(v.rate) and math.isnan(v.limit_amplitude)
 
+    @pytest.mark.filterwarnings("error")
     def test_envelope_fit_refuses_a_zero_swing(self):
-        # the flat maximum hides the extremum between two minima of -1, so
-        # one half-swing is 0 and its log has no value
+        # half of the smallest subnormal rounds to 0, so every half-swing of
+        # this tail is 0 and its log has no value
+        x = np.array([0.0, 5e-324] * 8 + [0.0])
+        assert analysis._envelope_fit(0.1 * np.arange(x.size), x) is None
+
+    def test_flat_maximum_is_one_extremum(self):
+        # the turn across the flat step lies between a moving and a flat
+        # difference; the parabola through them peaks at 1.125
         cycle = [0.0, 1.0, 0.0, -1.0]
         x = np.array(cycle * 2 + [0.0, 1.0, 1.0, 0.0, -1.0] + cycle * 2 + [0.0])
-        assert analysis._envelope_fit(0.1 * np.arange(x.size), x) is None
+        times, extrema = analysis._tail_extrema(0.1 * np.arange(x.size), x)
+        signs = np.sign(np.diff(extrema))
+        assert np.all(signs[1:] == -signs[:-1])
+        assert extrema.tolist() == [1.0, -1.0] * 2 + [1.125, -1.0] + [1.0, -1.0] * 2
+        assert times[4] == pytest.approx(0.95, rel=1e-12)
+
+    def test_extrema_alternate_across_plateau_wiggles(self):
+        # the settled constant tail at (5, 1, 33) turns across differences
+        # that round to 0 on its plateaus; every half-swing is the cycle's
+        times, diff = simulate_difference(CONSTANT, ModelParams(5.0, 1.0, 33.0), 1650.0)
+        start = diff.size // 2
+        _, extrema = analysis._tail_extrema(times[start:], diff[start:])
+        swings = 0.5 * np.abs(np.diff(extrema))
+        assert extrema.size == 24
+        signs = np.sign(np.diff(extrema))
+        assert np.all(signs[1:] == -signs[:-1])
+        assert swings == pytest.approx(np.full(swings.size, 4.928), rel=1e-3)
 
     @pytest.mark.parametrize("lam,delta", [(40.0, 20.0), (100.0, 33.232)])
     def test_settled_moving_average_tails_far_past_threshold_oscillate(self, lam, delta):
@@ -181,32 +204,53 @@ class TestConservationCheck:
 
 
 class TestAnalyticThreshold:
+    """The analytic threshold that a sweep confronts with simulation: the
+    onset of ``unstable_delays``."""
+
     def test_constant(self):
-        assert analysis.analytic_threshold(CONSTANT, 10.0, 1.0) == \
+        assert unstable_delays(CONSTANT, 10.0, 1.0)[0] == \
             pytest.approx(0.3617394710074713, abs=1e-12)
-        assert analysis.analytic_threshold(CONSTANT, 1.0, 1.0) is None
+        assert unstable_delays(CONSTANT, 1.0, 1.0) is None
 
     def test_moving_average(self):
-        got = analysis.analytic_threshold(MOVING_AVERAGE, 10.0, 1.0)
+        got = unstable_delays(MOVING_AVERAGE, 10.0, 1.0)[0]
         assert got == pytest.approx(2.1448, abs=1e-3)
-        assert analysis.analytic_threshold(MOVING_AVERAGE, 4.0, 1.0) is None
+        assert unstable_delays(MOVING_AVERAGE, 4.0, 1.0) is None
 
     def test_moving_average_at_huge_rates(self):
-        # the search also finds the right root of (pi, 2 pi), whose phase
+        # the left root of (pi, 2 pi), beside a right root whose phase
         # rounds 1 - cos(theta) to 0 above lam / mu ~ 1.19e9
-        got = analysis.analytic_threshold(MOVING_AVERAGE, 1e16, 1.0)
+        got = unstable_delays(MOVING_AVERAGE, 1e16, 1.0)[0]
         assert got == pytest.approx(math.pi ** 2 / 1e16, rel=1e-6)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
-            analysis.analytic_threshold("other", 10.0, 1.0)
+            unstable_delays("other", 10.0, 1.0)
+
+    @pytest.mark.parametrize("model", [CONSTANT, MOVING_AVERAGE])
+    def test_onset_is_the_first_hopf_point(self, model):
+        # lam / mu log-uniform over 0.5-2000, so both models also meet rates
+        # with no Hopf point
+        rng = np.random.default_rng(23)
+        a = np.exp(rng.uniform(math.log(0.5), math.log(2000.0), 1000))
+        mu = np.exp(rng.uniform(-3.0, 3.0, 1000))
+        nones = 0
+        for lam, m in zip((a * mu).tolist(), mu.tolist()):
+            unstable = unstable_delays(model, lam, m)
+            points = hopf_points(model, lam, m)
+            assert (unstable is None) == (not points), (lam, m)
+            if unstable is None:
+                nones += 1
+            else:
+                assert unstable[0] == points[0].delta_cr, (lam, m)
+        assert 0 < nones < 1000
 
 
 class TestSweep:
     def test_constant_model_rows_agree_across_threshold(self):
         rows = sweep(CONSTANT, 1.0, [10.0], [0.2, 0.3, 0.34, 0.4, 0.5, 1.0])
         assert len(rows) == 6
-        threshold = analysis.analytic_threshold(CONSTANT, 10.0, 1.0)
+        threshold = unstable_delays(CONSTANT, 10.0, 1.0)[0]
         for row in rows:
             expected = SYNCHRONIZED if row.delta < threshold else OSCILLATORY
             assert row.predicted == expected
@@ -262,7 +306,7 @@ class TestSweep:
         # a row that cannot run gets no verdict to confront
         for row in rows[1:]:
             assert (row.predicted, row.observed) == (NOT_APPLICABLE, FAILED)
-            assert row.error == "delta must be finite"
+            assert row.error == "delta must be finite and >= 0"
 
     def test_rows_match_full_state_classification(self):
         # sweep integrates only q1 - q2; classifying the full-state run of
@@ -270,7 +314,8 @@ class TestSweep:
         for model, lam, deltas in ((CONSTANT, 10.0, [0.3, 0.45]),
                                    (CONSTANT, 1.5, [0.5]),
                                    (MOVING_AVERAGE, 10.0, [1.5, 3.0])):
-            threshold = analysis.analytic_threshold(model, lam, 1.0)
+            unstable = unstable_delays(model, lam, 1.0)
+            threshold = None if unstable is None else unstable[0]
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
                 v = classify_stability(simulate(model, p, 60.0), p)
@@ -394,6 +439,8 @@ class TestLocateTransition:
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             locate_transition(CONSTANT, 10.0, 1.0, 0.5, 1.0)  # lo not synchronized
+        with pytest.raises(ValueError, match="^delta_hi classifies as synchronized$"):
+            locate_transition(CONSTANT, 10.0, 1.0, 0.2, 0.3)
 
 
 class TestNearThresholdDecay:

@@ -218,6 +218,19 @@ class TestSweepCommand:
         assert run(["sweep", "--model", "constant", "--mu", "1",
                     "--lambdas", "10,banana", "--deltas", "0.2"]) == 1
 
+    def test_empty_grid_is_usage_error(self, capsys):
+        assert run(["sweep", "--model", "constant", "--mu", "1",
+                    "--lambdas", ",", "--deltas", "1"]) == 1
+        assert capsys.readouterr().err == "error: --lambdas must contain at least one value\n"
+
+    def test_inconclusive_cell_reports_its_trend(self, capsys):
+        # at the threshold itself the tail decays too slowly to decide
+        assert run(["sweep", "--model", "constant", "--mu", "1", "--lambdas", "10",
+                    "--deltas", "0.3617394710074713"]) == 0
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "# inconclusive at lambda=10 delta=0.361739471: amplitude 0.390956377, "
+            "decaying"]
+
     def test_failed_row_reports_its_error(self, capsys):
         assert run(["sweep", "--model", "moving-average", "--mu", "1",
                     "--lambdas", "10", "--deltas", "0,2.5"]) == 0
@@ -238,7 +251,7 @@ class TestSweepCommand:
         assert out.splitlines()[2] == "10000000,1,inf,not-applicable,failed,nan,false"
         failed = [line for line in err.splitlines()
                   if line.startswith("# failed at") and "delta=inf" in line]
-        assert failed == ["# failed at lambda=10000000 delta=inf: delta must be finite"]
+        assert failed == ["# failed at lambda=10000000 delta=inf: delta must be finite and >= 0"]
 
 
 class TestExitCodes:

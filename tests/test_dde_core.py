@@ -449,3 +449,8 @@ class TestDenseEval:
         with pytest.raises(ValueError, match=f"^{message} must be {reason}"):
             Trajectory(step=step, states=np.zeros((nodes, 1)),
                        derivs=np.zeros((nodes, 1)), lag=lag)
+
+    def test_states_and_derivs_must_match(self):
+        with pytest.raises(ValueError, match="^states and derivs must be matching"):
+            Trajectory(step=0.1, states=np.zeros((3, 2)), derivs=np.zeros((3, 1)),
+                       lag=0.0)

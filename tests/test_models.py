@@ -43,7 +43,11 @@ class TestModelParams:
         dict(lam=10.0, mu=math.nan, delta=0.1),
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # each case breaks one argument of (10, 1, 0.1); the message names it
+        valid = dict(lam=10.0, mu=1.0, delta=0.1)
+        bad = next(name for name, value in kwargs.items() if value != valid[name])
+        rule = ">= 0" if bad == "delta" else "> 0"
+        with pytest.raises(ValueError, match=f"^{bad} must be finite and {rule}$"):
             ModelParams(**kwargs)
 
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdelay import analysis, checks, stability
+from qdelay import checks, stability
 from qdelay import (
     CONSTANT,
     MOVING_AVERAGE,
@@ -562,6 +562,13 @@ class TestCrossingRate:
                                              r"2\.2314355131420975$"):
             crossing_rate(CONSTANT, 25.0, 1.0, 0.1, 2.2314355131420975)
 
+    def test_overflowing_rate(self):
+        # the rate at this Hopf point is about 1e615: R_delta = -i omega q
+        # overflows, with omega ~ 8.5e307 and q ~ 8.5e307
+        p = critical_delay_constant(1.7e308, 1e3)
+        with pytest.raises(ValueError, match=r"^the crossing rate overflows at r = "):
+            crossing_rate(CONSTANT, p.lam, p.mu, p.delta_cr, 1j * p.omega)
+
 
 def _default_tol(model, lam, mu, delta):
     scale = lam + mu if model == CONSTANT else lam / delta + mu * mu
@@ -916,9 +923,9 @@ class TestTimeRescaling:
                                         (1000.0, 1.0), (3.5, 0.5)])
     @pytest.mark.parametrize("c", [0.1, 3.0, 10.0])
     def test_rescaled_inputs_give_rescaled_answers(self, model, lam, mu, c):
-        threshold = analysis.analytic_threshold(model, lam, mu)
+        unstable = unstable_delays(model, lam, mu)
         # past the first threshold where there is one, so the kernel runs a cycle
-        delta = 1.2 * threshold if threshold is not None else 1.0
+        delta = 1.2 * unstable[0] if unstable is not None else 1.0
         params = ModelParams(lam, mu, delta)
         devs = checks.scaling_deviations(model, params, c, 50.0 * delta, delta / 20.0)
         assert all(dev < 1e-12 for dev in devs), devs
