@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, stability
-from .dde import NumericalFailureError, Trajectory
+from .dde import NumericalFailureError, Trajectory, _check_step
 
 __all__ = [
     "FAILED",
@@ -88,9 +88,11 @@ _MIN_EXTREMA = 6
 _SETTLED = 1.05
 
 
-def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior local extrema of a sampled signal, refined by a parabola
-    through each extremal node and its two neighbours."""
+def _tail_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local extrema of a signal sampled on a uniform grid, refined
+    by a parabola through each extremal node and its two neighbours.
+
+    Returns their fractional node positions ``k + offset`` and values."""
     # a turn where the sign of a nonzero difference differs from that of the
     # previous nonzero one, so that a flat step between them hides no turn;
     # the extremal node ends the earlier one, so y0 - 2 y1 + y2 is not 0
@@ -99,23 +101,23 @@ def _tail_extrema(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     k = nz[:-1][s[nz[:-1]] != s[nz[1:]]] + 1
     y0, y1, y2 = x[k - 1], x[k], x[k + 1]
     offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
-    return times[k] + offset * (times[1] - times[0]), y1 - 0.25 * (y0 - y2) * offset
+    return k + offset, y1 - 0.25 * (y0 - y2) * offset
 
 
-def _envelope_fit(times: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:
+def _envelope_fit(x: np.ndarray, step: float) -> tuple[float, float] | None:
     """Stuart-Landau fit d ln A / dt = rate + ell A^2 of the half-swings A
-    between consecutive extrema of x.
+    between consecutive extrema of x, sampled at spacing ``step``.
 
     Returns (rate, limit amplitude as max - min), or None with fewer than
     ``_MIN_EXTREMA`` extrema or a swing of 0, whose log has no value.
     """
-    t_ext, x_ext = _tail_extrema(times, x)
-    if t_ext.size < _MIN_EXTREMA:
+    k_ext, x_ext = _tail_extrema(x)
+    if k_ext.size < _MIN_EXTREMA:
         return None
     swing = 0.5 * np.abs(np.diff(x_ext))
     if not swing.all():
         return None
-    dt = np.diff(0.5 * (t_ext[1:] + t_ext[:-1]))
+    dt = np.diff(0.5 * (k_ext[1:] + k_ext[:-1])) * step
     y = np.diff(np.log(swing)) / dt
     # A^2 from the swings scaled by 2^-e into [1/2, 1), so that no square
     # overflows; a power of two scales exactly, so the fit keeps every bit
@@ -146,13 +148,13 @@ def _classify_amplitude(amplitude: float, eps_sync: float, eps_osc: float) -> st
 def classify_stability(traj: Trajectory, params: models.ModelParams) -> StabilityVerdict:
     """Classify the asymptotic regime of a two-queue trajectory of scenario
     ``params``: its q1 - q2 on the nodes, by ``classify_difference``."""
-    return classify_difference(traj.times, traj.states[:, 0] - traj.states[:, 1], params)
+    return classify_difference(traj.step, traj.states[:, 0] - traj.states[:, 1], params)
 
 
-def classify_difference(times: np.ndarray, diff: np.ndarray,
+def classify_difference(step: float, diff: np.ndarray,
                         params: models.ModelParams) -> StabilityVerdict:
     """Classify the asymptotic regime of q1 - q2, sampled as ``diff`` on the
-    uniform grid ``times`` (as ``simulate_difference`` returns it), from the
+    nodes ``k * step`` (as ``simulate_difference`` returns them), from the
     second half of the run, against ``default_thresholds(params)``: an
     amplitude below the first threshold is synchronized, one above the
     second oscillatory, and any other inconclusive.
@@ -173,14 +175,21 @@ def classify_difference(times: np.ndarray, diff: np.ndarray,
     are the fit that decided the verdict, nan where the raw amplitude did.
 
     The horizon should still cover several oscillation periods after the
-    burn-in.
+    burn-in.  Raises ``ValueError`` unless ``step`` is finite and > 0 and
+    ``diff`` is 1-D and finite, or where the tail holds fewer than 8 nodes.
     """
-    eps_sync, eps_osc = default_thresholds(params)
+    _check_step(step)
+    if diff.ndim != 1:
+        raise ValueError(f"diff must be 1-D, got {diff.ndim} dimensions")
     n = diff.size
     start = math.ceil(_BURN_IN_FRACTION * (n - 1))
     tail = diff[start:]
     if tail.size < 8:
         raise ValueError("horizon too short for the requested burn-in")
+    # a NaN is both extrema, and an infinity one of them
+    if not (math.isfinite(diff.min()) and math.isfinite(diff.max())):
+        raise ValueError("diff must be finite")
+    eps_sync, eps_osc = default_thresholds(params)
     amplitude = float(tail.max() - tail.min())
     classification = _classify_amplitude(amplitude, eps_sync, eps_osc)
     q3 = (3 * (n - 1)) // 4
@@ -190,13 +199,13 @@ def classify_difference(times: np.ndarray, diff: np.ndarray,
     settled = last <= _SETTLED * prev and prev <= _SETTLED * last
     rate = limit = math.nan
     if amplitude >= eps_sync and not settled:
-        fit = _envelope_fit(times[start:], tail)
+        fit = _envelope_fit(tail, step)
         if fit is not None:
             rate, limit = fit
             classification = _classify_amplitude(limit, eps_sync, eps_osc)
     return StabilityVerdict(classification=classification, amplitude=amplitude,
-                            burn_in=float(times[start]),
-                            horizon=float(times[-1]), growing=last > prev,
+                            burn_in=start * step,
+                            horizon=(n - 1) * step, growing=last > prev,
                             rate=rate, limit_amplitude=limit)
 
 
@@ -228,8 +237,7 @@ def _observe(model: str, params: models.ModelParams,
         horizon = max(200.0 / params.mu, 50.0 * params.delta)
         if horizon == math.inf:
             raise ValueError("the default horizon max(200/mu, 50 delta) overflows")
-    times, diff = models.simulate_difference(model, params, horizon)
-    return classify_difference(times, diff, params)
+    return classify_difference(*models.simulate_difference(model, params, horizon), params)
 
 
 def sweep(model: str, mu: float, lambdas, deltas,

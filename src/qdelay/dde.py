@@ -53,10 +53,11 @@ def _check_step(step: float) -> None:
 
 # Kernels and the integrator store every node, at 8 bytes a value: at 10^6
 # nodes ``simulate`` peaks at about 64 (constant model) and 128
-# (moving-average model) bytes a node, ``simulate_difference`` at 24.  A
-# far larger grid would exhaust memory before it finished; the costliest
-# sweep cells, constant model at lam/mu = 1000 near its threshold, hold
-# about 1.3 million.
+# (moving-average model) bytes a node, ``simulate_difference`` at 8, its
+# ``u`` alone.  A far larger grid would exhaust memory before it finished;
+# the costliest sweep cells, constant model at lam/mu = 1000 near its
+# threshold, hold about 1.3 million.  ``models.ma_from_trajectory`` takes
+# at most as many samples of a window.
 _MAX_NODES = 10_000_000
 
 # The difference kernels keep their newest nodes as lists of Python floats,

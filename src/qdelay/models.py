@@ -38,6 +38,7 @@ from itertools import islice
 import numpy as np
 
 from .dde import (
+    _MAX_NODES,
     _WINDOW,
     NumericalFailureError,
     Trajectory,
@@ -347,7 +348,7 @@ def _split(out: np.ndarray, column: int, half_total: np.ndarray,
 
 def simulate_difference(model: str, params: ModelParams, horizon: float,
                         step: float | None = None, phi1: float | None = None,
-                        phi2: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        phi2: float | None = None) -> tuple[float, np.ndarray]:
     """Integrate only the difference mode u = q1 - q2 of one scenario.
 
     With ``g(x) = -lam tanh(x / 2)`` the difference obeys
@@ -366,10 +367,11 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
 
     Returns
     -------
-    times, u : np.ndarray
-        Node times ``k * h`` and the difference mode at them, 8 bytes a
-        node each: the kernel keeps ``u'/2`` (and ``v / 2``) only for its
-        lagged reads.
+    h : float
+        The step of ``lag_grid``; node ``k`` lies at time ``k * h``.
+    u : np.ndarray
+        The difference mode at the nodes, 8 bytes a node: the kernel keeps
+        ``u'/2`` (and ``v / 2``) only for its lagged reads.
 
     Raises
     ------
@@ -378,7 +380,7 @@ def simulate_difference(model: str, params: ModelParams, horizon: float,
         is not finite; ``simulate`` fails there, or before where ``s`` does.
     """
     _, _, _, h, (u,) = _difference(model, params, horizon, step, phi1, phi2, False)
-    return np.arange(u.size) * h, u
+    return h, u
 
 
 def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
@@ -588,7 +590,8 @@ def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:
     <= the trajectory step; returns one value per state component.  A window
     narrower than the float spacing at ``t`` (``t - delta == t``) averages
     to its limit, ``traj.eval(t)``.  The window must lie within
-    ``traj.bounds()``, else ValueError.
+    ``traj.bounds()``, and its samples must fit the node budget of
+    ``dde.lag_grid``, else ValueError.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"window length delta must be finite and > 0, got {delta}")
@@ -601,7 +604,11 @@ def ma_from_trajectory(traj: Trajectory, t: float, delta: float) -> np.ndarray:
     if t - delta == t:
         # every trapezoid weight would be 0
         return traj.eval(t)
-    n = max(1, math.ceil(delta / traj.step - 1e-9))
+    segments = delta / traj.step - 1e-9
+    if not segments + 1.0 <= _MAX_NODES:
+        raise ValueError(f"the window needs {segments + 1.0:.8g} samples, "
+                         f"more than the {_MAX_NODES} allowed")
+    n = max(1, math.ceil(segments))
     ts = np.linspace(t - delta, t, n + 1)
     samples = traj.eval(ts)
     weights = np.full(n + 1, ts[1] - ts[0])

@@ -1,6 +1,7 @@
 """Classification, conservation, sweep, and threshold-vs-simulation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestClassifyStability:
         with pytest.raises(ValueError):  # burn-in leaves too little tail
             classify_stability(traj, p)
 
+    @pytest.mark.parametrize("step,diff,message", [
+        (0.1, np.r_[np.ones(30), math.nan, np.ones(9)], "diff must be finite"),
+        (0.1, np.r_[-math.inf, np.ones(39)], "diff must be finite"),
+        (0.1, np.ones((40, 2)), "diff must be 1-D, got 2 dimensions"),
+        (0.0, np.ones(40), "step must be finite and > 0"),
+        (math.nan, np.ones(40), "step must be finite and > 0"),
+        (math.inf, np.ones(40), "step must be finite and > 0"),
+    ])
+    def test_classify_difference_rejects_bad_input(self, step, diff, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analysis.classify_difference(step, diff, ModelParams(10.0, 1.0, 0.4))
+
     def test_envelope_rate_matches_tracked_root(self):
         # just below the 2.1448 threshold the T = 300 tail still swings by
         # more than eps_osc, but the fitted envelope decays at the rate of
@@ -140,25 +153,24 @@ class TestClassifyStability:
         # half of the smallest subnormal rounds to 0, so every half-swing of
         # this tail is 0 and its log has no value
         x = np.array([0.0, 5e-324] * 8 + [0.0])
-        assert analysis._envelope_fit(0.1 * np.arange(x.size), x) is None
+        assert analysis._envelope_fit(x, 0.1) is None
 
     def test_flat_maximum_is_one_extremum(self):
         # the turn across the flat step lies between a moving and a flat
         # difference; the parabola through them peaks at 1.125
         cycle = [0.0, 1.0, 0.0, -1.0]
         x = np.array(cycle * 2 + [0.0, 1.0, 1.0, 0.0, -1.0] + cycle * 2 + [0.0])
-        times, extrema = analysis._tail_extrema(0.1 * np.arange(x.size), x)
+        positions, extrema = analysis._tail_extrema(x)
         signs = np.sign(np.diff(extrema))
         assert np.all(signs[1:] == -signs[:-1])
         assert extrema.tolist() == [1.0, -1.0] * 2 + [1.125, -1.0] + [1.0, -1.0] * 2
-        assert times[4] == pytest.approx(0.95, rel=1e-12)
+        assert positions[4] == 9.5
 
     def test_extrema_alternate_across_plateau_wiggles(self):
         # the settled constant tail at (5, 1, 33) turns across differences
         # that round to 0 on its plateaus; every half-swing is the cycle's
-        times, diff = simulate_difference(CONSTANT, ModelParams(5.0, 1.0, 33.0), 1650.0)
-        start = diff.size // 2
-        _, extrema = analysis._tail_extrema(times[start:], diff[start:])
+        _, diff = simulate_difference(CONSTANT, ModelParams(5.0, 1.0, 33.0), 1650.0)
+        _, extrema = analysis._tail_extrema(diff[diff.size // 2:])
         swings = 0.5 * np.abs(np.diff(extrema))
         assert extrema.size == 24
         signs = np.sign(np.diff(extrema))
@@ -310,7 +322,8 @@ class TestSweep:
 
     def test_rows_match_full_state_classification(self):
         # sweep integrates only q1 - q2; classifying the full-state run of
-        # each cell must rebuild its row
+        # each cell must rebuild its row, and give the verdict of its
+        # difference mode
         for model, lam, deltas in ((CONSTANT, 10.0, [0.3, 0.45]),
                                    (CONSTANT, 1.5, [0.5]),
                                    (MOVING_AVERAGE, 10.0, [1.5, 3.0])):
@@ -319,6 +332,10 @@ class TestSweep:
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
                 v = classify_stability(simulate(model, p, 60.0), p)
+                d = analysis.classify_difference(*simulate_difference(model, p, 60.0), p)
+                assert (d.classification, d.growing, d.burn_in, d.horizon) == \
+                    (v.classification, v.growing, v.burn_in, v.horizon)
+                assert abs(d.amplitude - v.amplitude) <= 1e-12 * equilibrium(p)
                 if threshold is None:
                     predicted = NOT_APPLICABLE
                 else:
@@ -401,9 +418,9 @@ class TestSweep:
         # the tail of the (1e154, 1, 0.5) cycle, whose squared swings,
         # unscaled, would overflow: the fit gives rate 0
         params = ModelParams(1e154, 1.0, 0.5)
-        times, diff = simulate_difference(CONSTANT, params, 200.0)
+        h, diff = simulate_difference(CONSTANT, params, 200.0)
         start = math.ceil(0.5 * (diff.size - 1))
-        assert analysis._envelope_fit(times[start:], diff[start:]) == (0.0, math.inf)
+        assert analysis._envelope_fit(diff[start:], h) == (0.0, math.inf)
 
     def test_moving_average_cells_far_past_threshold(self):
         # delta 20 and 33 lie inside the first Hopf pair (0.2754, 39.085),

@@ -271,6 +271,19 @@ class TestMaFromTrajectory:
             traj.eval([t - delta, t])
             assert np.all(np.isfinite(ma_from_trajectory(traj, t, delta)))
 
+    def test_windows_beyond_the_node_budget_raise_before_sampling(self):
+        # a window may reach back to -lag, far past the nodes of the run: the
+        # one-node grid of a lag of 5e299 steps, and a lag / step that
+        # overflows
+        runs = [(simulate(MOVING_AVERAGE, ModelParams(1e3, 1e-300, 1e300), 1.0,
+                          step=2.0), "5e+299"),
+                (Trajectory(step=1e-300, states=np.ones((1, 2)),
+                            derivs=np.zeros((1, 2)), lag=1e300), "inf")]
+        for traj, count in runs:
+            message = f"the window needs {count} samples, more than the 10000000 allowed"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ma_from_trajectory(traj, 0.0, 1e300)
+
     def test_window_below_the_float_spacing_is_the_state_at_t(self):
         # t - delta rounds to t, so every trapezoid weight would be 0 and the
         # quadrature 0 / 0 (a RuntimeWarning, an error here)
@@ -420,8 +433,9 @@ class TestSimulateDifference:
     def test_matches_full_state_difference(self, model, lam, mu, delta, horizon, step):
         p = ModelParams(lam, mu, delta)
         traj = simulate_reference(model, p, horizon, step=step)
-        times, u = simulate_difference(model, p, horizon, step=step)
-        np.testing.assert_array_equal(times, traj.times)
+        h, u = simulate_difference(model, p, horizon, step=step)
+        assert h == traj.step
+        assert u.size == traj.states.shape[0]
         diff = traj.states[:, 0] - traj.states[:, 1]
         assert np.max(np.abs(u - diff)) <= 1e-12 * equilibrium(p)
 
@@ -594,9 +608,9 @@ from qdelay import ModelParams, simulate_difference
 p = ModelParams(20.0, 1.0, 1.5)
 simulate_difference(sys.argv[1], p, 1.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-times, _ = simulate_difference(sys.argv[1], p, 10_000.0)
+_, u = simulate_difference(sys.argv[1], p, 10_000.0)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) * 1024 / times.size)
+print((after - before) * 1024 / u.size)
 """
 
 
@@ -607,15 +621,15 @@ class TestMemory:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_maxrss is in kilobytes on Linux only")
     @pytest.mark.parametrize("model", [CONSTANT, MOVING_AVERAGE])
-    def test_simulate_difference_grows_rss_by_under_48_bytes_a_node(self, model):
-        # u and the times take 16 of them, and the times' arange 8 more
-        # while it is multiplied; lists of every u, u'/2 (and v / 2) took
-        # 96 (constant model) and 136 (moving-average model)
+    def test_simulate_difference_grows_rss_by_under_16_bytes_a_node(self, model):
+        # u takes 8 of them; a returned time column took 16 more, and lists
+        # of every u, u'/2 (and v / 2) took 96 (constant model) and 136
+        # (moving-average model)
         out = subprocess.run([sys.executable, "-c", _RSS_PER_NODE, model],
                              env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
                              text=True,
                              check=True)
-        assert float(out.stdout) < 48.0
+        assert float(out.stdout) < 16.0
 
     @pytest.mark.parametrize("model,bound", [
         (CONSTANT, 70.4),          # 64.0 measured: 10% over it
