@@ -15,7 +15,6 @@ from .dde import NumericalFailureError, Trajectory, _check_step
 __all__ = [
     "FAILED",
     "INCONCLUSIVE",
-    "NOT_APPLICABLE",
     "OSCILLATORY",
     "SYNCHRONIZED",
     "StabilityVerdict",
@@ -31,7 +30,6 @@ __all__ = [
 SYNCHRONIZED = "synchronized"
 OSCILLATORY = "oscillatory"
 INCONCLUSIVE = "inconclusive"
-NOT_APPLICABLE = "not-applicable"
 FAILED = "failed"
 
 
@@ -66,9 +64,13 @@ class SweepRow:
     predicted: str
     observed: str
     amplitude: float
-    agree: bool
     growing: bool | None = None
     error: str | None = None
+
+    @property
+    def agree(self) -> bool:
+        """Whether the cell ran and its observed regime is the predicted one."""
+        return self.predicted == self.observed != FAILED
 
 
 def default_thresholds(params: models.ModelParams) -> tuple[float, float]:
@@ -227,17 +229,18 @@ _BISECTION_STEPS = 10
 _BURN_IN_FRACTION = 0.5
 
 
-def _observe(model: str, params: models.ModelParams,
-             horizon: float | None) -> StabilityVerdict:
-    """Integrate the difference mode of one scenario from the default history
-    and classify it.  The horizon defaults to max(200 / mu, 50 delta): at
-    least 20 relaxation times, and long enough to see several delay
-    windows."""
+def _observe(model: str, params: models.ModelParams, horizon: float | None,
+             phi1: float | None = None, phi2: float | None = None) -> StabilityVerdict:
+    """Integrate the difference mode of one scenario from the history phi1,
+    phi2 (by default the default history) and classify it.  The horizon
+    defaults to max(200 / mu, 50 delta): at least 20 relaxation times, and
+    long enough to see several delay windows."""
     if horizon is None:
         horizon = max(200.0 / params.mu, 50.0 * params.delta)
         if horizon == math.inf:
             raise ValueError("the default horizon max(200/mu, 50 delta) overflows")
-    return classify_difference(*models.simulate_difference(model, params, horizon), params)
+    return classify_difference(*models.simulate_difference(model, params, horizon,
+                                                           phi1=phi1, phi2=phi2), params)
 
 
 def sweep(model: str, mu: float, lambdas, deltas,
@@ -245,42 +248,36 @@ def sweep(model: str, mu: float, lambdas, deltas,
     """Integrate the difference mode of every (lam, delta) cell, classify it
     and confront it with the analytic Hopf thresholds.
 
-    A cell is predicted oscillatory when its delay lies in the bracket
-    [on, off) of ``stability.unstable_delays`` (the moving-average model
-    restabilises at off), synchronized otherwise, and not-applicable where
-    no delay is unstable or the delay is NaN or infinite (its row fails).
-    Rows are produced in grid order (lambdas outer, deltas inner) and are
-    independent of each other; integration failures are recorded per row
-    rather than aborting the sweep.  ``agree`` is True when the observed
-    verdict matches the prediction or no prediction exists.  Every cell runs
-    from the default history and step, and is classified on its second half.
+    One rule predicts every cell: oscillatory where its delay lies in the
+    bracket [on, off) of ``stability.unstable_delays`` (the moving-average
+    model restabilises at off), and synchronized everywhere else, including
+    where the bracket is None (stable at every delay).  A delay that
+    ``ModelParams`` refuses (negative, NaN or infinite) is predicted failed,
+    as it is observed.  Rows are produced in grid order (lambdas outer,
+    deltas inner) and are independent of each other; integration failures
+    are recorded per row rather than aborting the sweep.  ``agree`` is True
+    when the cell ran and its observed verdict is the predicted one.  Every
+    cell runs from the default history and step, and is classified on its
+    second half.
     """
     rows: list[SweepRow] = []
     deltas = [float(delta) for delta in deltas]
     for lam in lambdas:
         lam = float(lam)
-        unstable = stability.unstable_delays(model, lam, mu)
+        # None, stable at every delay, is the empty bracket [inf, inf)
+        on, off = stability.unstable_delays(model, lam, mu) or (math.inf, math.inf)
         for delta in deltas:
-            if unstable is None or not math.isfinite(delta):
-                predicted = NOT_APPLICABLE
-            elif unstable[0] <= delta < unstable[1]:
-                predicted = OSCILLATORY
-            else:
-                predicted = SYNCHRONIZED
+            predicted = FAILED
             try:
                 params = models.ModelParams(lam=lam, mu=mu, delta=delta)
+                predicted = OSCILLATORY if on <= delta < off else SYNCHRONIZED
                 verdict = _observe(model, params, horizon)
             except (NumericalFailureError, ValueError) as exc:
-                rows.append(SweepRow(lam=lam, mu=mu, delta=delta,
-                                     predicted=predicted, observed=FAILED,
-                                     amplitude=float("nan"), agree=False,
+                rows.append(SweepRow(lam, mu, delta, predicted, FAILED, math.nan,
                                      error=str(exc)))
                 continue
-            agree = predicted == NOT_APPLICABLE or verdict.classification == predicted
-            rows.append(SweepRow(lam=lam, mu=mu, delta=delta, predicted=predicted,
-                                 observed=verdict.classification,
-                                 amplitude=verdict.amplitude, agree=agree,
-                                 growing=verdict.growing))
+            rows.append(SweepRow(lam, mu, delta, predicted, verdict.classification,
+                                 verdict.amplitude, verdict.growing))
     return rows
 
 

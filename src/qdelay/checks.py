@@ -15,8 +15,8 @@ import numpy as np
 
 from . import analysis, models, stability
 
-__all__ = ["SUITE", "crossing_signs", "order_ratio", "scaling_deviations",
-           "swap_is_exact", "worst_residual"]
+__all__ = ["SUITE", "crossing_signs", "delay_independent_verdict", "order_ratio",
+           "scaling_deviations", "swap_is_exact", "worst_residual"]
 
 
 def swap_is_exact(model: str, params: models.ModelParams, horizon: float,
@@ -70,6 +70,17 @@ def crossing_signs(model: str, points, eps: float) -> list[int]:
                 sign = 0
         signs.append(sign)
     return signs
+
+
+def delay_independent_verdict(model: str, params: models.ModelParams,
+                              phi1: float | None = None, phi2: float | None = None
+                              ) -> tuple[bool, analysis.StabilityVerdict]:
+    """Whether ``unstable_delays`` of (lam, mu) is None, stable at every
+    delay, and the verdict on the difference mode of ``params`` from the
+    history phi1, phi2 (the default history where None), classified as
+    ``sweep`` classifies a cell at its default horizon."""
+    stable = stability.unstable_delays(model, params.lam, params.mu) is None
+    return stable, analysis._observe(model, params, None, phi1, phi2)
 
 
 def scaling_deviations(model: str, params: models.ModelParams, c: float,
@@ -228,6 +239,30 @@ def _time_rescaling():
                                 f"{worst[2]:.2e} of q* (kernel)")
 
 
+# (model, lam / mu, from far history): Halanay's bound at lam < 2 mu holds
+# for every history; the moving-average band 2 <= lam / mu < 9.2066777 is
+# stable near the equilibrium, so it starts from the default history
+_DELAY_INDEPENDENT = [(models.CONSTANT, 1.5, True), (models.MOVING_AVERAGE, 1.5, True),
+                      (models.MOVING_AVERAGE, 5.0, False),
+                      (models.MOVING_AVERAGE, 9.0, False)]
+
+
+def _delay_independent_stability():
+    worst, deltas = 0.0, (0.5, 5.0, 50.0)
+    for model, ratio, far in _DELAY_INDEPENDENT:
+        for delta in deltas:
+            params = models.ModelParams(ratio, 1.0, delta)
+            q = models.equilibrium(params)
+            history = (10.0 * q, 0.0) if far else (None, None)
+            stable, verdict = delay_independent_verdict(model, params, *history)
+            if not (stable and verdict.classification == analysis.SYNCHRONIZED):
+                return False, (f"{model} ({ratio}, 1, {delta}): unstable_delays None "
+                               f"{stable}, observed {verdict.classification}")
+            worst = max(worst, verdict.amplitude / q)
+    return True, (f"{len(deltas) * len(_DELAY_INDEPENDENT)} cells without a Hopf point "
+                  f"synchronized; largest tail amplitude {worst:.2e} of q*")
+
+
 SUITE = [
     ("mnl-weights-normalised", _mnl_normalised),
     ("equilibrium-fixed-point", _equilibrium_fixed_point),
@@ -244,4 +279,5 @@ SUITE = [
     ("threshold-vs-simulation", _threshold_vs_simulation),
     ("order-4-convergence", _order_four),
     ("time-rescaling", _time_rescaling),
+    ("delay-independent-stability", _delay_independent_stability),
 ]

@@ -315,9 +315,11 @@ def _cmd_critical_delay(args) -> int:
         return 0
     bracket = tuple(args.bracket) if args.bracket is not None else None
     points = stability.critical_delay_ma(args.lam, args.mu, bracket=bracket)
-    if not points:
+    if not points and bracket is not None:
         print("no validated Hopf root found in the delta range")
-        return 0
+    elif not points:
+        print(f"no Hopf bifurcation (lambda = {_fmt(args.lam)}, mu = {_fmt(args.mu)}); "
+              f"equilibrium stable for all delays")
     for p in points:
         print(f"model=moving-average lambda={_fmt(p.lam)} mu={_fmt(p.mu)} "
               f"branch={p.branch} delta_cr={_fmt(p.delta_cr)} omega={_fmt(p.omega)}")

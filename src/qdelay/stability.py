@@ -281,8 +281,10 @@ def hopf_points(model: str, lam: float, mu: float,
     """Hopf points of (lam, mu) in increasing delay: every one at or below
     ``delta_max``, and the smallest also where it lies above.
 
-    The constant-delay model has at most one, ``critical_delay_constant``.
-    The moving-average model's come from ``critical_delay_ma`` searched up
+    The constant-delay model lists only its branch 0,
+    ``critical_delay_constant``, and not its later crossings at
+    d_k = (theta_0 + 2 pi k) / omega, with theta_0 = omega delta_cr.  The
+    moving-average model's come from ``critical_delay_ma`` searched up
     to the larger of ``delta_max`` and 9 pi^2 / lam, which always includes
     branch 0 when it exists.  Branch 0 is the left root of (pi, 2 pi) of the
     phase function f (``ma_threshold_function``): both k = 1 roots lie
@@ -317,6 +319,18 @@ def unstable_delays(model: str, lam: float, mu: float) -> tuple[float, float] | 
     measured on random scenarios but not proved, lies strictly inside this
     one, destabilising at its left root and restabilising at its right one,
     so it never changes whether the equilibrium is unstable.
+
+    None means stable at every delay, for three reasons.  For lam < 2 mu,
+    in both models, |d/du lam tanh(u / 2)| <= lam / 2 < mu gives Halanay's
+    inequality D+|u| <= -mu |u| + (lam / 2) sup |u| over the lag window
+    (the window mean is bounded by the same sup), so every history decays
+    (Halanay, Differential Equations, 1966).  The constant model has no
+    root on the imaginary axis for lam <= 2 mu.  The moving-average model
+    has no Hopf point below lam / mu = a_min = -2 theta* / sin(theta*)
+    = 9.2066777, where tan(theta*) = theta* = 4.4934095: below it the
+    phase function is positive on (pi, 2 pi), and so on every later odd
+    interval, and r = 0 is not a root of the uncleared equation, so no
+    root crosses the imaginary axis at any window.
     """
     if model == CONSTANT:
         point = critical_delay_constant(lam, mu)

@@ -1,5 +1,6 @@
 """Classification, conservation, sweep, and threshold-vs-simulation tests."""
 
+import dataclasses
 import math
 import re
 
@@ -12,6 +13,7 @@ from qdelay import (
     ModelParams,
     Trajectory,
     analysis,
+    checks,
     critical_delay_constant,
     critical_delay_ma,
     crossing_rate,
@@ -24,7 +26,6 @@ from qdelay import (
 from qdelay.analysis import (
     FAILED,
     INCONCLUSIVE,
-    NOT_APPLICABLE,
     OSCILLATORY,
     SYNCHRONIZED,
     classify_stability,
@@ -269,13 +270,35 @@ class TestSweep:
             assert row.observed == expected
             assert row.agree
 
-    def test_subcritical_rates_have_no_prediction(self):
+    def test_subcritical_rates_are_predicted_synchronized(self):
         rows = sweep(CONSTANT, 1.0, [1.5, 2.0], [0.5, 1.0, 2.0])
         assert len(rows) == 6
         for row in rows:
-            assert row.predicted == NOT_APPLICABLE
+            assert row.predicted == SYNCHRONIZED
             assert row.observed == SYNCHRONIZED
             assert row.agree
+
+    def test_cells_without_a_hopf_point_are_predicted_and_observed_synchronized(self):
+        # lam / mu below 2 (Halanay, both models) and moving-average lam / mu
+        # in [2, 9.2], below a_min = 9.2066777: 40 random cells each, with
+        # mu = e^U(-1, 1) and delta log-uniform on 0.05-60
+        rng = np.random.default_rng(26)
+        for model, lo, hi in ((CONSTANT, 0.2, 2.0), (MOVING_AVERAGE, 0.2, 2.0),
+                              (MOVING_AVERAGE, 2.0, 9.2)):
+            for _ in range(40):
+                mu = float(np.exp(rng.uniform(-1.0, 1.0)))
+                lam = mu * float(rng.uniform(lo, hi))
+                delta = float(np.exp(rng.uniform(math.log(0.05), math.log(60.0))))
+                (row,) = sweep(model, mu, [lam], [delta])
+                assert (row.predicted, row.observed, row.agree) == \
+                    (SYNCHRONIZED, SYNCHRONIZED, True), (model, lam, mu, delta)
+
+    def test_agree_is_read_from_the_columns(self):
+        assert "agree" not in [f.name for f in dataclasses.fields(analysis.SweepRow)]
+        row = analysis.SweepRow(1.0, 1.0, 1.0, SYNCHRONIZED, SYNCHRONIZED, 0.0)
+        assert row.agree
+        assert not dataclasses.replace(row, observed=OSCILLATORY).agree
+        assert not dataclasses.replace(row, predicted=FAILED, observed=FAILED).agree
 
     def test_ma_rows_track_the_observed_regimes(self):
         rows = sweep(MOVING_AVERAGE, 1.0, [10.0], [1.0, 2.0, 3.0, 4.0, 6.0])
@@ -315,9 +338,10 @@ class TestSweep:
                      horizon=1e-3)
         assert rows[0].observed != FAILED and rows[0].error is None
         assert rows[0].predicted == OSCILLATORY
-        # a row that cannot run gets no verdict to confront
+        # a row that cannot run fails in both columns
         for row in rows[1:]:
-            assert (row.predicted, row.observed) == (NOT_APPLICABLE, FAILED)
+            assert (row.predicted, row.observed) == (FAILED, FAILED)
+            assert not row.agree
             assert row.error == "delta must be finite and >= 0"
 
     def test_rows_match_full_state_classification(self):
@@ -328,7 +352,7 @@ class TestSweep:
                                    (CONSTANT, 1.5, [0.5]),
                                    (MOVING_AVERAGE, 10.0, [1.5, 3.0])):
             unstable = unstable_delays(model, lam, 1.0)
-            threshold = None if unstable is None else unstable[0]
+            threshold = math.inf if unstable is None else unstable[0]
             for row in sweep(model, 1.0, [lam], deltas, horizon=60.0):
                 p = ModelParams(lam, 1.0, row.delta)
                 v = classify_stability(simulate(model, p, 60.0), p)
@@ -336,13 +360,10 @@ class TestSweep:
                 assert (d.classification, d.growing, d.burn_in, d.horizon) == \
                     (v.classification, v.growing, v.burn_in, v.horizon)
                 assert abs(d.amplitude - v.amplitude) <= 1e-12 * equilibrium(p)
-                if threshold is None:
-                    predicted = NOT_APPLICABLE
-                else:
-                    predicted = OSCILLATORY if row.delta >= threshold else SYNCHRONIZED
+                predicted = OSCILLATORY if row.delta >= threshold else SYNCHRONIZED
                 assert (row.predicted, row.observed, row.growing) == \
                     (predicted, v.classification, v.growing)
-                assert row.agree == (predicted in (NOT_APPLICABLE, v.classification))
+                assert row.agree == (predicted == v.classification)
                 assert abs(row.amplitude - v.amplitude) <= 1e-12 * equilibrium(p)
 
     def test_bracket_prediction_equals_the_signed_crossing_count(self, monkeypatch):
@@ -376,8 +397,7 @@ class TestSweep:
                               if delta_cr <= row.delta)
                     if crossings:
                         assert (bracket[0] <= row.delta < bracket[1]) == (net > 0)
-                    expected = NOT_APPLICABLE if not crossings else \
-                        OSCILLATORY if net > 0 else SYNCHRONIZED
+                    expected = OSCILLATORY if net > 0 else SYNCHRONIZED
                     assert row.predicted == expected, (model, lam, mu, row.delta)
                 cells += len(rows)
         assert cells >= 10_000
@@ -436,6 +456,22 @@ class TestSweep:
         rows = sweep(CONSTANT, 1.0, [5.0, 10.0], [0.1, 0.2])
         assert [(r.lam, r.delta) for r in rows] == \
             [(5.0, 0.1), (5.0, 0.2), (10.0, 0.1), (10.0, 0.2)]
+
+
+class TestDelayIndependentStability:
+    # the cells of verify's delay-independent-stability check: Halanay's
+    # bound holds for every history, so lam / mu = 1.5 starts far from the
+    # equilibrium; the moving-average band below a_min is stable near it
+    @pytest.mark.parametrize("delta", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("model,ratio,far", [
+        (CONSTANT, 1.5, True), (MOVING_AVERAGE, 1.5, True),
+        (MOVING_AVERAGE, 5.0, False), (MOVING_AVERAGE, 9.0, False)])
+    def test_no_hopf_point_and_the_tail_decays(self, model, ratio, far, delta):
+        params = ModelParams(ratio, 1.0, delta)
+        history = (10.0 * equilibrium(params), 0.0) if far else (None, None)
+        stable, verdict = checks.delay_independent_verdict(model, params, *history)
+        assert stable
+        assert verdict.classification == SYNCHRONIZED
 
 
 class TestLocateTransition:

@@ -112,6 +112,13 @@ class TestCriticalDelayCommand:
                     "--lambda", "10", "--mu", "1", "--bracket", "0.5", "1.5"]) == 0
         assert "no validated Hopf root" in capsys.readouterr().out
 
+    def test_ma_without_hopf(self, capsys):
+        # lambda / mu = 5 < 9.2066777: no window has a Hopf point
+        assert run(["critical-delay", "--model", "moving-average",
+                    "--lambda", "5", "--mu", "1"]) == 0
+        assert capsys.readouterr().out == ("no Hopf bifurcation (lambda = 5, mu = 1); "
+                                           "equilibrium stable for all delays\n")
+
     def test_ma_bracket_at_a_huge_rate(self, capsys):
         assert run(["critical-delay", "--model", "moving-average",
                     "--lambda", "2e9", "--mu", "1", "--bracket", "0", "1e-8"]) == 0
@@ -248,7 +255,7 @@ class TestSweepCommand:
         assert run(["sweep", "--model", "moving-average", "--mu", "1",
                     "--lambdas", "1e7", "--deltas", "1e-5,inf"]) == 0
         out, err = capsys.readouterr()
-        assert out.splitlines()[2] == "10000000,1,inf,not-applicable,failed,nan,false"
+        assert out.splitlines()[2] == "10000000,1,inf,failed,failed,nan,false"
         failed = [line for line in err.splitlines()
                   if line.startswith("# failed at") and "delta=inf" in line]
         assert failed == ["# failed at lambda=10000000 delta=inf: delta must be finite and >= 0"]
