@@ -251,14 +251,14 @@ def sweep(model: str, mu: float, lambdas, deltas,
     One rule predicts every cell: oscillatory where its delay lies in the
     bracket [on, off) of ``stability.unstable_delays`` (the moving-average
     model restabilises at off), and synchronized everywhere else, including
-    where the bracket is None (stable at every delay).  A delay that
-    ``ModelParams`` refuses (negative, NaN or infinite) is predicted failed,
-    as it is observed.  Rows are produced in grid order (lambdas outer,
-    deltas inner) and are independent of each other; integration failures
-    are recorded per row rather than aborting the sweep.  ``agree`` is True
-    when the cell ran and its observed verdict is the predicted one.  Every
-    cell runs from the default history and step, and is classified on its
-    second half.
+    where the bracket is None (stable at every delay).  A delay that the
+    model refuses (negative, NaN or infinite, or a moving-average window of
+    0) is predicted failed, as it is observed.  Rows are produced in grid
+    order (lambdas outer, deltas inner) and are independent of each other;
+    integration failures are recorded per row rather than aborting the
+    sweep.  ``agree`` is True when the cell ran and its observed verdict is
+    the predicted one.  Every cell runs from the default history and step,
+    and is classified on its second half.
     """
     rows: list[SweepRow] = []
     deltas = [float(delta) for delta in deltas]
@@ -270,6 +270,7 @@ def sweep(model: str, mu: float, lambdas, deltas,
             predicted = FAILED
             try:
                 params = models.ModelParams(lam=lam, mu=mu, delta=delta)
+                models._validate_delay(model, delta)
                 predicted = OSCILLATORY if on <= delta < off else SYNCHRONIZED
                 verdict = _observe(model, params, horizon)
             except (NumericalFailureError, ValueError) as exc:

@@ -316,7 +316,7 @@ def _cmd_critical_delay(args) -> int:
     bracket = tuple(args.bracket) if args.bracket is not None else None
     points = stability.critical_delay_ma(args.lam, args.mu, bracket=bracket)
     if not points and bracket is not None:
-        print("no validated Hopf root found in the delta range")
+        print(f"no Hopf point in the delta range [{_fmt(bracket[0])}, {_fmt(bracket[1])}]")
     elif not points:
         print(f"no Hopf bifurcation (lambda = {_fmt(args.lam)}, mu = {_fmt(args.mu)}); "
               f"equilibrium stable for all delays")

@@ -51,19 +51,10 @@ def _check_step(step: float) -> None:
         raise ValueError("step must be finite and > 0")
 
 
-# Kernels and the integrator store every node, at 8 bytes a value: at 10^6
-# nodes ``simulate`` peaks at about 64 (constant model) and 128
-# (moving-average model) bytes a node, ``simulate_difference`` at 8, its
-# ``u`` alone.  A far larger grid would exhaust memory before it finished;
-# the costliest sweep cells, constant model at lam/mu = 1000 near its
-# threshold, hold about 1.3 million.  ``models.ma_from_trajectory`` takes
-# at most as many samples of a window.
+# The most nodes a grid may hold: a run stores every node, so a far larger
+# grid would exhaust memory before it finished.  The costliest sweep cells,
+# constant model at lam/mu = 1000 near its threshold, hold about 1.3 million.
 _MAX_NODES = 10_000_000
-
-# The difference kernels keep their newest nodes as lists of Python floats,
-# which lagged reads take fastest, and move the older ones into float64
-# arrays (``_move_nodes``) once the lists hold more than this many.
-_WINDOW = 4096
 
 
 def lag_grid(lag: float, step: float, horizon: float) -> tuple[int, float, int]:
@@ -103,40 +94,11 @@ def lagged_nodes(values, slopes, m: int) -> Iterator[tuple]:
     before the grid.  That is m - 1 copies of node 0, then the nodes, each
     read when its step comes, so the sequences may grow meanwhile.  The
     Hermite midpoint of two history pairs is node 0 exactly.  A grid within
-    the node budget takes fewer than 10^7 steps, so the copies stop there.
-    Once ``_move_nodes`` has cut the sequences, the stream it restarts
-    reads on from the first node left."""
+    the node budget takes fewer than 10^7 steps, so the copies stop there."""
     if m < 1:
         raise ValueError("the lag must be at least one step")
     return chain(repeat((values[0], slopes[0]), min(m - 1, _MAX_NODES)),
                  zip(values, slopes))
-
-
-def _move_nodes(lists, arrays, base: int, keep: int):
-    """Move all but the last ``keep`` nodes of a kernel's per-node lists
-    into float64 arrays, and restart its lagged stream on what is left.
-
-    ``lists`` hold the nodes ``base, base + 1, ...`` of a run, values and
-    slopes first, and ``arrays[i]`` of ``n + 1`` entries receives
-    ``lists[i]``, or is None for a list whose moved values are dropped once
-    they are checked finite.  Called between lag blocks with ``keep = m``,
-    when ``lagged_nodes`` has passed the history copies and the next step
-    reads the first node kept, so the stream restarts there.  Returns
-    ``(stream, base)`` for the nodes left, or ``(None, base)``, moving
-    nothing, where a value to drop is not finite.
-    """
-    cut = len(lists[0]) - keep
-    for values, array in zip(lists, arrays):
-        # the sum of floats is finite only if each is; one that overflows
-        # from finite terms is checked term by term
-        if array is None and not (math.isfinite(sum(values[:cut]))
-                                  or all(map(math.isfinite, values[:cut]))):
-            return None, base
-    for values, array in zip(lists, arrays):
-        if array is not None:
-            array[base:base + cut] = values[:cut]
-        del values[:cut]
-    return zip(lists[0], lists[1]), base + cut
 
 
 def _hermite(theta, h, y0, y1, m0, m1):

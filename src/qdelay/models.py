@@ -39,10 +39,8 @@ import numpy as np
 
 from .dde import (
     _MAX_NODES,
-    _WINDOW,
     NumericalFailureError,
     Trajectory,
-    _move_nodes,
     integrate,
     lag_grid,
     lagged_nodes,
@@ -80,6 +78,18 @@ def _validate_rates(lam: float, mu: float) -> None:
         raise ValueError("mu must be finite and > 0")
 
 
+def _validate_delay(model: str, delta: float) -> None:
+    # the delays each model accepts: the constant model is the no-delay ODE
+    # at delta = 0, while the window averages of the moving-average model
+    # obey m' = (q(t) - q(t - delta)) / delta, which needs delta > 0
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {model!r}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and >= 0")
+    if delta == 0.0 and model == MOVING_AVERAGE:
+        raise ValueError(_NEEDS_WINDOW)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """One scenario: total arrival rate, per-queue service rate, delay."""
@@ -90,8 +100,8 @@ class ModelParams:
 
     def __post_init__(self):
         _validate_rates(self.lam, self.mu)
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError("delta must be finite and >= 0")
+        # no model is named: the constant model's delays, a superset of the other's
+        _validate_delay(CONSTANT, self.delta)
 
 
 def mnl_weights(a: float, b: float) -> tuple[float, float]:
@@ -125,8 +135,7 @@ def constant_delay_rhs(state, lagged, params: ModelParams) -> np.ndarray:
 
 def ma_rhs(state, lagged, params: ModelParams) -> np.ndarray:
     """Derivatives of (q1, q2, m1, m2); the choice rule sees (m1, m2)."""
-    if params.delta <= 0.0:
-        raise ValueError(_NEEDS_WINDOW)
+    _validate_delay(MOVING_AVERAGE, params.delta)
     w1, w2 = mnl_weights(state[2], state[3])
     lam = params.lam
     mu = params.mu
@@ -155,10 +164,7 @@ def _scenario(model: str, params: ModelParams, step, phi1,
     default, which keep q1 + q2 at its fixed point initially, and the
     requested step, ``default_step(params)`` by default.
     """
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {model!r}")
-    if model == MOVING_AVERAGE and params.delta <= 0.0:
-        raise ValueError(_NEEDS_WINDOW)
+    _validate_delay(model, params.delta)
     q = equilibrium(params)
     phi1 = 1.1 * q if phi1 is None else phi1
     phi2 = 0.9 * q if phi2 is None else phi2
@@ -418,16 +424,18 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
     return p1, p2, m, h, [a[:size] for a in arrays if a is not None]
 
 
-# The kernels below append u and u'/2 per node to lists of Python floats;
-# the lagged reads stream over those lists.  Between lag blocks, once the
-# lists hold more than ``dde._WINDOW`` nodes, ``dde._move_nodes`` moves all
-# but the last m into float64 arrays of n + 1 entries (all of them in the
-# ODE kernel, whose steps read no lagged node) and restarts the stream on
-# the rest, so a run holds a bounded window of floats at 32 bytes a value
-# and 8 bytes a value for every older node.  ``simulate`` keeps every
-# series; ``simulate_difference`` keeps u alone and drops the rest at each
-# move, once they are checked finite.  u'/2 is the difference half of the
-# full-state derivatives,
+# The kernels below append u and u'/2 per node to lists of Python floats,
+# which the lagged reads, streaming over them, take fastest.  Between lag
+# blocks, once the lists hold more than ``_WINDOW`` nodes, ``_move_nodes``
+# moves all but the last m into float64 arrays of n + 1 entries (all of
+# them in the ODE kernel, whose steps read no lagged node) and restarts the
+# stream on the rest, so a run holds a bounded window of floats at 32 bytes
+# a value and 8 bytes a value for every older node: at 10^6 nodes
+# ``simulate`` peaks at about 64 (constant model) and 128 (moving-average
+# model) bytes a node, ``simulate_difference`` at 8, its ``u`` alone.
+# ``simulate`` keeps every series; ``simulate_difference`` keeps u alone
+# and drops the rest at each move, once they are checked finite.  u'/2 is
+# the difference half of the full-state derivatives,
 # q1', q2' = s'/2 +- u'/2, so it overflows where they do (u' can do so a
 # step earlier); halving is exact above the subnormals, so no state changes.
 # Step k reads node k + 1 - m from ``dde.lagged_nodes``, as ``integrate``
@@ -464,6 +472,35 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 # On the regime-sweep cells a step costs about 0.4 us (constant model) and
 # 0.8 us (moving-average model), against 0.6 and 1.0 us stepped stage by
 # stage, on a shared 2-core x86 host under CPython 3.11.
+
+_WINDOW = 4096
+
+
+def _move_nodes(lists, arrays, base: int, keep: int):
+    """Move all but the last ``keep`` nodes of a kernel's per-node lists
+    into float64 arrays, and restart its lagged stream on what is left.
+
+    ``lists`` hold the nodes ``base, base + 1, ...`` of a run, values and
+    slopes first, and ``arrays[i]`` of ``n + 1`` entries receives
+    ``lists[i]``, or is None for a list whose moved values are dropped once
+    they are checked finite.  Called between lag blocks with ``keep = m``,
+    when ``lagged_nodes`` has passed the history copies and the next step
+    reads the first node kept, so the stream restarts there and reads on
+    from it.  Returns ``(stream, base)`` for the nodes left, or
+    ``(None, base)``, moving nothing, where a value to drop is not finite.
+    """
+    cut = len(lists[0]) - keep
+    for values, array in zip(lists, arrays):
+        # the sum of floats is finite only if each is; one that overflows
+        # from finite terms is checked term by term
+        if array is None and not (math.isfinite(sum(values[:cut]))
+                                  or all(map(math.isfinite, values[:cut]))):
+            return None, base
+    for values, array in zip(lists, arrays):
+        if array is not None:
+            array[base:base + cut] = values[:cut]
+        del values[:cut]
+    return zip(lists[0], lists[1]), base + cut
 
 
 def _rk4_weights(params: ModelParams, h: float) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONSTANT, MOVING_AVERAGE, _validate_rates
+from .models import CONSTANT, MOVING_AVERAGE, _validate_delay, _validate_rates
 
 __all__ = [
     "ConvergenceError",
@@ -48,10 +48,11 @@ class ConvergenceError(RuntimeError):
 class HopfPoint:
     """A point (lam, mu, delta_cr, omega) on a Hopf curve.
 
-    ``branch`` 0 is the smallest positive critical delay.  ``validated`` is
-    always True: every point satisfies both imaginary-axis conditions of its
-    model by construction.  It is kept as the ``validated`` column of the
-    hopf-curve CSV.
+    ``branch`` indexes the points one query returns in increasing delay, so
+    a bracket numbers from its first point (``ma_candidate_roots`` leaves
+    every branch 0).  ``validated`` is always True: every point satisfies
+    both imaginary-axis conditions of its model by construction.  It is
+    kept as the ``validated`` column of the hopf-curve CSV.
     """
 
     lam: float
@@ -68,17 +69,12 @@ def _coefficients(model: str, lam: float, mu: float,
     # query: r + mu + (lam / 2) e^(-r delta), and the moving average cleared
     # of its 1/r pole, r^2 + mu r + g - g e^(-r delta) with g = lam / 2 delta
     _validate_rates(lam, mu)
+    _validate_delay(model, delta)
     if model == CONSTANT:
-        if not 0.0 <= delta < math.inf:
-            raise ValueError("delta must be finite and >= 0 for the constant-delay model")
         return 0.0, 1.0, mu, 0.5 * lam, 0.0, 0.0
-    if model == MOVING_AVERAGE:
-        if not 0.0 < delta < math.inf:
-            raise ValueError("delta must be finite and > 0 for the moving-average model")
-        gain = 0.5 * lam / delta
-        rate = gain / delta
-        return 1.0, mu, gain, -gain, -rate, rate
-    raise ValueError(f"unknown model kind: {model!r}")
+    gain = 0.5 * lam / delta
+    rate = gain / delta
+    return 1.0, mu, gain, -gain, -rate, rate
 
 
 def _residual(r: complex, delta: float, p2: float, p1: float, p0: float,
@@ -294,9 +290,12 @@ def hopf_points(model: str, lam: float, mu: float,
     has delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root,
     no interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
 
-    Raises ValueError for an unknown model, and for a moving-average
-    search that could list more than 10^6 points (``critical_delay_ma``).
+    Raises ValueError for an unknown model, a NaN ``delta_max``, and a
+    moving-average search that could list more than 10^6 points
+    (``critical_delay_ma``).
     """
+    if math.isnan(delta_max):
+        raise ValueError("delta_max must not be NaN")
     if model == CONSTANT:
         point = critical_delay_constant(lam, mu)
         return [] if point is None else [point]

@@ -110,7 +110,7 @@ class TestCriticalDelayCommand:
     def test_ma_bracket_narrows_the_scan(self, capsys):
         assert run(["critical-delay", "--model", "moving-average",
                     "--lambda", "10", "--mu", "1", "--bracket", "0.5", "1.5"]) == 0
-        assert "no validated Hopf root" in capsys.readouterr().out
+        assert capsys.readouterr().out == "no Hopf point in the delta range [0.5, 1.5]\n"
 
     def test_ma_without_hopf(self, capsys):
         # lambda / mu = 5 < 9.2066777: no window has a Hopf point

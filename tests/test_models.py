@@ -20,17 +20,23 @@ from qdelay import (
     ModelParams,
     NumericalFailureError,
     Trajectory,
+    characteristic_residual_constant,
+    characteristic_residual_ma,
     checks,
     constant_delay_rhs,
+    crossing_rate,
     equilibrium,
     ma_from_trajectory,
     ma_rhs,
     mnl_weights,
     models,
+    root_track,
     simulate,
     simulate_difference,
     simulate_reference,
+    sweep,
 )
+from qdelay.analysis import FAILED
 
 RNG = np.random.default_rng(20240311)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -55,6 +61,36 @@ class TestModelParams:
         rule = ">= 0" if bad == "delta" else "> 0"
         with pytest.raises(ValueError, match=f"^{bad} must be finite and {rule}$"):
             ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("model,delta", [
+    (model, delta) for model in (CONSTANT, MOVING_AVERAGE)
+    for delta in (math.nan, math.inf, -math.inf, -0.4)
+] + [(MOVING_AVERAGE, 0.0)])
+def test_every_entry_point_refuses_a_delay_with_one_message(model, delta):
+    # one rule gives the delays each model accepts; every entry point that
+    # takes a delay refuses each case with that rule's message, and a sweep
+    # predicts the cell failed, as it observes it
+    message = ("the moving-average model needs delta > 0; use the constant model "
+               "at delta = 0" if delta == 0.0 else "delta must be finite and >= 0")
+    residual = (characteristic_residual_constant if model == CONSTANT
+                else characteristic_residual_ma)
+    calls = [lambda: residual(1j, 10.0, 1.0, delta),
+             lambda: root_track(model, 10.0, 1.0, delta, 1j),
+             lambda: crossing_rate(model, 10.0, 1.0, delta, 1j)]
+    if delta == 0.0:
+        # ModelParams names no model and takes 0: its users refuse it
+        params = ModelParams(10.0, 1.0, delta)
+        calls.append(lambda: ma_rhs(np.full(4, 5.0), np.full(4, 5.0), params))
+        calls += [lambda run=run: run(model, params, horizon=1.0)
+                  for run in (simulate, simulate_reference, simulate_difference)]
+    else:
+        calls.append(lambda: ModelParams(10.0, 1.0, delta))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    (row,) = sweep(model, 1.0, [10.0], [delta])
+    assert (row.predicted, row.observed, row.error) == (FAILED, FAILED, message)
 
 
 class TestMnlWeights:

@@ -445,6 +445,9 @@ class TestHopfPoints:
             for lam in (0.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match="^lam must be finite and > 0$"):
                     hopf_points(model, lam, 1.0)
+            # NaN is not "at or below" anything: it would list branch 0 alone
+            with pytest.raises(ValueError, match="^delta_max must not be NaN$"):
+                hopf_points(model, 40.0, 1.0, math.nan)
 
 
 def _random_rates(rng, n, a_lo, a_hi):
@@ -548,7 +551,7 @@ class TestCrossingRate:
         for delta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
                 crossing_rate(CONSTANT, 10.0, 1.0, delta, 1j)
-            with pytest.raises(ValueError, match="^delta must be finite and > 0"):
+            with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
                 crossing_rate(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
         for model in (CONSTANT, MOVING_AVERAGE):
             for r in (complex(math.nan, 1.0), complex(0.0, math.inf), math.nan):
@@ -849,7 +852,7 @@ class TestRootTrack:
         for delta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
                 root_track(CONSTANT, 10.0, 1.0, delta, 1j)
-            with pytest.raises(ValueError, match="^delta must be finite and > 0"):
+            with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
                 root_track(MOVING_AVERAGE, 10.0, 1.0, delta, 1j)
         for model in (CONSTANT, MOVING_AVERAGE):
             # e^(2000) overflows at the seed
