@@ -425,17 +425,17 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 
 
 # The kernels below append u and u'/2 per node to lists of Python floats,
-# which the lagged reads, streaming over them, take fastest.  Between lag
-# blocks, once the lists hold more than ``_WINDOW`` nodes, ``_move_nodes``
-# moves all but the last m into float64 arrays of n + 1 entries (all of
-# them in the ODE kernel, whose steps read no lagged node) and restarts the
-# stream on the rest, so a run holds a bounded window of floats at 32 bytes
-# a value and 8 bytes a value for every older node: at 10^6 nodes
-# ``simulate`` peaks at about 64 (constant model) and 128 (moving-average
-# model) bytes a node, ``simulate_difference`` at 8, its ``u`` alone.
-# ``simulate`` keeps every series; ``simulate_difference`` keeps u alone
-# and drops the rest at each move, once they are checked finite.  u'/2 is
-# the difference half of the full-state derivatives,
+# which the lagged reads, streaming over them, take fastest.  They step in
+# storage windows of ``width = max(m, _WINDOW)`` steps, and at each window
+# start ``_window`` moves all but the last m nodes into float64 arrays of
+# n + 1 entries (all of them in the ODE kernel, whose steps read no lagged
+# node) and restarts the stream on the rest, so a run holds a bounded window
+# of floats at 32 bytes a value and 8 bytes a value for every older node:
+# at 10^6 nodes ``simulate`` peaks at about 64 (constant model) and 128
+# (moving-average model) bytes a node, ``simulate_difference`` at 8, its
+# ``u`` alone.  ``simulate`` keeps every series; ``simulate_difference``
+# keeps u alone and drops the rest at each move, once they are checked
+# finite.  u'/2 is the difference half of the full-state derivatives,
 # q1', q2' = s'/2 +- u'/2, so it overflows where they do (u' can do so a
 # step earlier); halving is exact above the subnormals, so no state changes.
 # Step k reads node k + 1 - m from ``dde.lagged_nodes``, as ``integrate``
@@ -464,10 +464,9 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 # and a bad node poisons every later one: a non-finite u (or w) stays so in
 # these steps, and a u'/2 that overflows with u finite does so at node 0,
 # where the first step's midpoint reads inf - inf, or in a blow-up, whose
-# |u| grows on.  So the delay kernels test u (and w) once per lag block of
-# m steps, whose lagged reads all precede the block, and stop after a block
-# that ends bad, or before a move that finds a value to drop bad; the ODE
-# kernel stops after a bad u'/2.  Every moved node is then good, and
+# |u| grows on.  So no step tests a node: ``_window`` stops a run at the
+# start of the window after its first bad node, or before a move that
+# finds a value to drop bad.  Every moved node is then good, and
 # ``simulate_difference`` bisects the lists left for the first bad node.
 # On the regime-sweep cells a step costs about 0.4 us (constant model) and
 # 0.8 us (moving-average model), against 0.6 and 1.0 us stepped stage by
@@ -476,20 +475,27 @@ def _difference(model: str, params: ModelParams, horizon: float, step, phi1,
 _WINDOW = 4096
 
 
-def _move_nodes(lists, arrays, base: int, keep: int):
-    """Move all but the last ``keep`` nodes of a kernel's per-node lists
-    into float64 arrays, and restart its lagged stream on what is left.
+def _window(lists, arrays, start: int, base: int, m: int, stream):
+    """Start the storage window at step ``start`` of a kernel's run.
 
-    ``lists`` hold the nodes ``base, base + 1, ...`` of a run, values and
+    ``lists`` hold the nodes ``base .. start`` of the run, values and
     slopes first, and ``arrays[i]`` of ``n + 1`` entries receives
     ``lists[i]``, or is None for a list whose moved values are dropped once
-    they are checked finite.  Called between lag blocks with ``keep = m``,
-    when ``lagged_nodes`` has passed the history copies and the next step
-    reads the first node kept, so the stream restarts there and reads on
-    from it.  Returns ``(stream, base)`` for the nodes left, or
-    ``(None, base)``, moving nothing, where a value to drop is not finite.
+    they are checked finite.  Returns ``(None, base)``, and the run stops,
+    where the last node of any list is not finite: a non-finite u stays
+    non-finite, so a finite last node certifies every node before it.
+    Past the first window all but the last ``m`` nodes move, unless a value
+    to drop is not finite, which stops the run too, and the stream restarts
+    on the rest: a window is at least m steps, so ``lagged_nodes`` has
+    passed its history copies, and the next step reads node
+    ``start + 1 - m``, the first one kept.  Returns ``(stream, base)`` for
+    the nodes left, the ``stream`` given in the first window.
     """
-    cut = len(lists[0]) - keep
+    if not all(math.isfinite(values[-1]) for values in lists):
+        return None, base
+    if not start:
+        return stream, base
+    cut = len(lists[0]) - m
     for values, array in zip(lists, arrays):
         # the sum of floats is finite only if each is; one that overflows
         # from finite terms is checked term by term
@@ -515,7 +521,7 @@ def _rk4_weights(params: ModelParams, h: float) -> tuple[float, ...]:
 
 def _difference_constant(params: ModelParams, u0: float, m: int, h: float, n: int,
                          arrays) -> tuple[int, list[list[float]]]:
-    tanh, isfinite, window = math.tanh, math.isfinite, _WINDOW
+    tanh, width = math.tanh, max(m, _WINDOW)
     _, r, c_lag, c2, c3, c_end = _rk4_weights(params, h)
     c_mid = c2 + c3
     quarter, neg_half_lam, half_mu = 0.25 * h, -0.5 * params.lam, 0.5 * params.mu
@@ -526,14 +532,11 @@ def _difference_constant(params: ModelParams, u0: float, m: int, h: float, n: in
     lagged = lagged_nodes(u, du, m)
     base = 0
     y0, d0 = x, du[0]
-    for start in range(0, n, m):
-        if not isfinite(x):
+    for start in range(0, n, width):
+        lagged, base = _window((u, du), arrays, start, base, m, lagged)
+        if lagged is None:
             break
-        if len(u) > window:
-            lagged, base = _move_nodes((u, du), arrays, base, m)
-            if lagged is None:
-                break
-        for y1, d1 in islice(lagged, min(m, n - start)):
+        for y1, d1 in islice(lagged, min(width, n - start)):
             t_mid = tanh(0.5 * (y0 + 0.5 * (y1 - y0) + quarter * (d0 - d1)))
             t_end = tanh(0.5 * y1)
             x = x + (r * x + c_lag * t_lag + c_mid * t_mid + c_end * t_end)
@@ -546,17 +549,19 @@ def _difference_constant(params: ModelParams, u0: float, m: int, h: float, n: in
 def _difference_ode(params: ModelParams, u0: float, h: float, n: int,
                     arrays) -> tuple[int, list[list[float]]]:
     lam, mu = params.lam, params.mu
-    tanh, isfinite, window = math.tanh, math.isfinite, _WINDOW
+    tanh, width = math.tanh, _WINDOW
     half, sixth = 0.5 * h, h / 6.0
     neg_half_lam, half_mu = -0.5 * lam, 0.5 * mu
     x = u0
     d = neg_half_lam * tanh(0.5 * x) - half_mu * x
     u, du = [x], [d]
-    base = 0
-    for start in range(0, n, window):
-        # no step reads a lagged node, so every node moves
-        base = _move_nodes((u, du), arrays, base, 0)[1]
-        for _ in range(min(window, n - start)):
+    # no step reads a lagged node, so every node moves, and the stream is ()
+    stream, base = (), 0
+    for start in range(0, n, width):
+        stream, base = _window((u, du), arrays, start, base, 0, stream)
+        if stream is None:
+            break
+        for _ in range(min(width, n - start)):
             k1 = 2.0 * d
             s = x + half * k1
             k2 = -lam * tanh(0.5 * s) - mu * s
@@ -568,15 +573,13 @@ def _difference_ode(params: ModelParams, u0: float, h: float, n: int,
             d = neg_half_lam * tanh(0.5 * x) - half_mu * x
             u.append(x)
             du.append(d)
-            if not isfinite(d):  # as it is wherever x is
-                return base, [u, du]
     return base, [u, du]
 
 
 def _difference_ma(params: ModelParams, u0: float, m: int, h: float, n: int,
                    arrays) -> tuple[int, list[list[float]]]:
     lam, mu = params.lam, params.mu
-    tanh, isfinite, window = math.tanh, math.isfinite, _WINDOW
+    tanh, width = math.tanh, max(m, _WINDOW)
     z, r, c1, c2, c3, c4 = _rk4_weights(params, h)
     # the halved affine pieces of s_2 and s_3, and the fractions of the
     # stage differences in w's stages (h / (4 delta), twice that) and step
@@ -592,14 +595,11 @@ def _difference_ma(params: ModelParams, u0: float, m: int, h: float, n: int,
     lagged = lagged_nodes(u, du, m)
     base = 0
     y0, d0 = u0, du[0]
-    for start in range(0, n, m):
-        if not (isfinite(x) and isfinite(w)):
+    for start in range(0, n, width):
+        lagged, base = _window((u, du, ws), arrays, start, base, m, lagged)
+        if lagged is None:
             break
-        if len(u) > window:
-            lagged, base = _move_nodes((u, du, ws), arrays, base, m)
-            if lagged is None:
-                break
-        for y1, d1 in islice(lagged, min(m, n - start)):
+        for y1, d1 in islice(lagged, min(width, n - start)):
             y_mid = y0 + 0.5 * (y1 - y0) + quarter * (d0 - d1)
             p1 = x - y0
             t2 = tanh(w + q * p1)

@@ -157,10 +157,11 @@ def _newton_from_end(theta: float, f_theta: float, side: float,
     return theta
 
 
-# The most Hopf points one query may list: a moving-average search, or a
-# hopf_curve grid.  An unbracketed search lists about lam / (2 pi mu) of
-# them at about 300 B and 7 us each, so far more would exhaust memory or
-# time before the list was done.
+# The most Hopf points one query may list: a moving-average search, the
+# constant model's branches up to a delay, or a hopf_curve grid.  An
+# unbracketed moving-average search lists about lam / (2 pi mu) of them at
+# about 300 B and 7 us each, so far more would exhaust memory or time
+# before the list was done.
 _MAX_HOPF_POINTS = 1_000_000
 
 
@@ -277,10 +278,13 @@ def hopf_points(model: str, lam: float, mu: float,
     """Hopf points of (lam, mu) in increasing delay: every one at or below
     ``delta_max``, and the smallest also where it lies above.
 
-    The constant-delay model lists only its branch 0,
-    ``critical_delay_constant``, and not its later crossings at
-    d_k = (theta_0 + 2 pi k) / omega, with theta_0 = omega delta_cr.  The
-    moving-average model's come from ``critical_delay_ma`` searched up
+    The constant-delay model lists branch k at
+    d_k = (theta_0 + 2 pi k) / omega, with theta_0 = omega delta_cr of
+    ``critical_delay_constant``: R(i omega) depends on the delay only
+    through e^(-i omega delta), so the root pair returns to the imaginary
+    axis every 2 pi / omega, destabilising each time (``crossing_rate`` has
+    a positive real part).  The moving-average model's come from
+    ``critical_delay_ma`` searched up
     to the larger of ``delta_max`` and 9 pi^2 / lam, which always includes
     branch 0 when it exists.  Branch 0 is the left root of (pi, 2 pi) of the
     phase function f (``ma_threshold_function``): both k = 1 roots lie
@@ -290,15 +294,29 @@ def hopf_points(model: str, lam: float, mu: float,
     has delta > theta^2 / lam > 9 pi^2 / lam.  If (pi, 2 pi) holds no root,
     no interval does: the minimum of f on (k pi, (k + 1) pi) grows with k.
 
-    Raises ValueError for an unknown model, a NaN ``delta_max``, and a
-    moving-average search that could list more than 10^6 points
-    (``critical_delay_ma``).
+    Raises ValueError for an unknown model, a NaN ``delta_max``, a
+    constant-model query that would list more than 10^6 points (any at
+    ``delta_max = inf``), and a moving-average search that could list more
+    than 10^6 points (``critical_delay_ma``).
     """
     if math.isnan(delta_max):
         raise ValueError("delta_max must not be NaN")
     if model == CONSTANT:
         point = critical_delay_constant(lam, mu)
-        return [] if point is None else [point]
+        if point is None:
+            return []
+        if delta_max <= point.delta_cr:  # hopf_curve's query, at delta_max = 0
+            return [point]
+        theta_0, turn = point.omega * point.delta_cr, 2.0 * math.pi
+        last = (point.omega * delta_max - theta_0) / turn
+        if last >= _MAX_HOPF_POINTS:
+            count = math.floor(last) + 1 if last < math.inf else last
+            raise ValueError(f"delta_max = {delta_max:g} would list {count:.8g} Hopf "
+                             f"points, more than the {_MAX_HOPF_POINTS} allowed")
+        # one branch past the estimate, as the last one may round either way
+        later = [(theta_0 + turn * k) / point.omega for k in range(1, int(last) + 2)]
+        return [point] + [HopfPoint(lam, mu, delta, point.omega, k)
+                          for k, delta in enumerate(later, 1) if delta <= delta_max]
     if model == MOVING_AVERAGE:
         _validate_rates(lam, mu)
         reach = max(9.0 * math.pi ** 2 / lam, delta_max)

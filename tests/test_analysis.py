@@ -379,7 +379,9 @@ class TestSweep:
             for _ in range(300):
                 mu = float(np.exp(rng.uniform(-3.0, 3.0)))
                 lam = mu * float(np.exp(rng.uniform(0.0, math.log(2000.0))))
-                hopf = [p.delta_cr for p in hopf_points(model, lam, mu, math.inf)]
+                # the constant model's branches never end: its first spans the cells
+                every = math.inf if model == MOVING_AVERAGE else 0.0
+                hopf = [p.delta_cr for p in hopf_points(model, lam, mu, every)]
                 span = hopf or [1.0 / mu]
                 deltas = [d for h in hopf for d in (math.nextafter(h, 0.0), h,
                                                     math.nextafter(h, math.inf))]

@@ -595,6 +595,7 @@ class TestSimulateDifference:
         (CONSTANT, 10.0, 1.0, 0.0, 20.0, None),          # ODE
         (MOVING_AVERAGE, 20.0, 1.0, 1.5, 20.0, None),
         (MOVING_AVERAGE, 10.0, 1.0, 2.0, 20.0, 0.07),    # lags longer than the window
+        (CONSTANT, 10.0, 1.0, 0.4, 20.0, 0.01),          # windows of m = 40 steps
     ])
     def test_moves_change_no_bit(self, monkeypatch, model, lam, mu, delta, horizon, step):
         p = ModelParams(lam, mu, delta)
@@ -607,6 +608,34 @@ class TestSimulateDifference:
         np.testing.assert_array_equal(moved.states, whole.states)
         np.testing.assert_array_equal(moved.derivs, whole.derivs)
         np.testing.assert_array_equal(moved_u, u)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the blow-up
+    @pytest.mark.parametrize("model,m", [(CONSTANT, 0), (CONSTANT, 3), (CONSTANT, 20),
+                                         (MOVING_AVERAGE, 5), (MOVING_AVERAGE, 20)])
+    def test_unstable_steps_fail_at_the_same_node_in_any_window(self, monkeypatch,
+                                                                model, m):
+        # mu h from 2 to 4.5, past RK4's stability limit on the real axis,
+        # about 2.785, from 3 on, where u or s blows up.  Under windows of
+        # max(m, 16) steps every failure lies past a move, most of them
+        # mid-window, and all of them at the node of the default window
+        outcomes = {}
+        for window in (models._WINDOW, 16):
+            monkeypatch.setattr(models, "_WINDOW", window)
+            for mu_h in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
+                p = ModelParams(10.0, 1.0, m * mu_h)
+                for run in (simulate, simulate_difference):
+                    try:
+                        run(model, p, 3000 * mu_h, step=mu_h)
+                        outcomes[window, mu_h, run] = None
+                    except NumericalFailureError as failure:
+                        outcomes[window, mu_h, run] = round(failure.time / mu_h)
+        default = {key[1:]: node for key, node in outcomes.items() if key[0] != 16}
+        moved = {key[1:]: node for key, node in outcomes.items() if key[0] == 16}
+        assert moved == default
+        width = max(m, 16)
+        nodes = [node for node in moved.values() if node is not None]
+        assert len(nodes) >= 6 and min(nodes) > width
+        assert any(node % width for node in nodes)
 
     def test_rejected_inputs(self):
         p = ModelParams(10.0, 1.0, 0.0)

@@ -435,8 +435,36 @@ class TestHopfPoints:
     def test_constant_single_point(self):
         point = critical_delay_constant(10.0, 1.0)
         assert hopf_points(CONSTANT, 10.0, 1.0) == [point]
-        assert hopf_points(CONSTANT, 10.0, 1.0, 100.0) == [point]
+        # the pair returns to i omega every 2 pi / omega = 1.28255, 78 times
+        # up to 100
+        points = hopf_points(CONSTANT, 10.0, 1.0, 100.0)
+        assert points[0] == point and len(points) == 78
+        for k, p in enumerate(points):
+            assert (p.lam, p.mu, p.omega, p.branch) == (10.0, 1.0, point.omega, k)
+            turns = (p.delta_cr - point.delta_cr) * point.omega / (2.0 * math.pi)
+            assert abs(turns - k) <= 1e-12 * max(k, 1)
+        assert points[-1].delta_cr <= 100.0 < points[-1].delta_cr + 2.0 * math.pi / point.omega
         assert hopf_points(CONSTANT, 2.0, 1.0) == []
+
+    def test_constant_branches_match_the_explicit_curve(self):
+        # at mu = 1 the phase theta in (pi/2, pi) gives the curve
+        # a = -2 / cos(theta), omega = -tan(theta) of R(i omega) = 0, and
+        # the pair sits at i omega at every d_k = (theta + 2 pi k) / omega.
+        # Rounding a to a float moves omega = sqrt(a^2 / 4 - 1) by about
+        # eps / sin(theta)^2 relative, 7e-10 at the draw nearest pi
+        # (pi - 4.6e-4), so the tolerance, and the query's reach past d_3,
+        # carry that term
+        rng = np.random.default_rng(28)
+        for theta in rng.uniform(0.5 * math.pi, math.pi, 200).tolist():
+            a, omega = -2.0 / math.cos(theta), -math.tan(theta)
+            d = [(theta + 2.0 * math.pi * k) / omega for k in range(4)]
+            tol = 1e-11 + 4.0 * 2.0 ** -52 / math.sin(theta) ** 2
+            points = hopf_points(CONSTANT, a, 1.0, d[3] * (1.0 + tol))
+            assert [p.branch for p in points] == [0, 1, 2, 3], theta
+            for p, d_k in zip(points, d):
+                assert abs(p.delta_cr - d_k) <= tol * d_k, theta
+                assert abs(p.omega - omega) <= tol * omega, theta
+                assert crossing_rate(CONSTANT, a, 1.0, p.delta_cr, 1j * p.omega).real > 0.0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown model kind"):
@@ -448,6 +476,10 @@ class TestHopfPoints:
             # NaN is not "at or below" anything: it would list branch 0 alone
             with pytest.raises(ValueError, match="^delta_max must not be NaN$"):
                 hopf_points(model, 40.0, 1.0, math.nan)
+        # the constant model's branches never end
+        for delta_max, count in ((math.inf, "inf"), (1e12, "7.796968e\\+11")):
+            with pytest.raises(ValueError, match=f"would list {count} Hopf points"):
+                hopf_points(CONSTANT, 10.0, 1.0, delta_max)
 
 
 def _random_rates(rng, n, a_lo, a_hi):
@@ -783,9 +815,10 @@ class TestRootTrack:
         assert min(seen.values()) >= 2, seen
 
     def test_rates_at_hopf_points_match_the_per_model_formulas(self):
-        for model, lam, mu, _, seed in _near_threshold_cases():
+        for model, lam, mu, delta, seed in _near_threshold_cases():
+            # every constant branch shares omega, so the delay picks the branch
             point = next(p for p in hopf_points(model, lam, mu, 300.0 / lam)
-                         if 1j * p.omega == seed)
+                         if 1j * p.omega == seed and abs(delta / p.delta_cr - 1.0) < 2e-3)
             got = crossing_rate(model, lam, mu, point.delta_cr, seed)
             expected = _per_model_crossing_rate(model, lam, mu, point.delta_cr, seed)
             assert abs(got - expected) <= 1e-14 * abs(expected)
